@@ -4,8 +4,6 @@
 //! Measures per-access schema resolution latency; the byte-level memory
 //! comparison is printed once at the end.
 
-#![allow(deprecated)] // single-op wrappers exercised deliberately
-
 use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
 use adept_model::EdgeKind;
 use adept_simgen::{generate_schema, GenParams};
@@ -45,7 +43,19 @@ fn setup(
             )
             .unwrap(),
         );
-        store.set_bias(id, bias, &materialized, st);
+        let installed = store
+            .set_bias(
+                id,
+                1,
+                &Delta::new(),
+                &st,
+                bias,
+                &materialized,
+                st.clone(),
+                |_| Ok::<_, ()>(()),
+            )
+            .unwrap();
+        assert!(installed);
     }
     (repo, store, id)
 }
@@ -110,7 +120,19 @@ fn bench_fig2(c: &mut Criterion) {
                     )
                     .unwrap(),
                 );
-                store.set_bias(id, bias, &materialized, st);
+                let installed = store
+                    .set_bias(
+                        id,
+                        1,
+                        &Delta::new(),
+                        &st,
+                        bias,
+                        &materialized,
+                        st.clone(),
+                        |_| Ok::<_, ()>(()),
+                    )
+                    .unwrap();
+                assert!(installed);
                 store.schema_of(&repo, id); // materialise caches/copies
             }
         }

@@ -2,14 +2,15 @@
 //!
 //! `N` lightweight instances (a linear activity chain) run the full
 //! lifecycle — create → drive one step → type evolution → migrate-all →
-//! drive to completion — on the compiled tier versus the interpreted
-//! tier, with 1, 4 and 16 submitter threads.
+//! drive to completion — with 1, 4 and 16 submitter threads. The engine
+//! picks the execution tier by a fixed rule, so the tier comparison runs
+//! at the state layer (`state_run`).
 //!
 //! The population scales with `ADEPT_MACRO_INSTANCES` (default 2 000 so
 //! a default `cargo bench` run stays tractable; set it to 1 000 000 for
 //! the headline figure). **Caveat:** on a 1-vCPU container the 4- and
 //! 16-thread rows measure lock and scheduler contention, not parallel
-//! speedup — read the 1-thread rows as the tier comparison and the
+//! speedup — read the 1-thread row as the baseline and the
 //! multi-thread rows as a contention probe.
 
 use adept_core::{ChangeOp, MigrationOptions, NewActivity};
@@ -29,9 +30,8 @@ fn population() -> usize {
         .unwrap_or(2_000)
 }
 
-fn fresh_engine(compiled: bool) -> (ProcessEngine, String) {
+fn fresh_engine() -> (ProcessEngine, String) {
     let engine = ProcessEngine::new();
-    engine.set_compiled_enabled(compiled);
     let mut b = SchemaBuilder::new("macro");
     for k in 0..CHAIN {
         b.activity(&format!("step {k}"));
@@ -111,20 +111,17 @@ fn bench_macro(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(n as u64));
     for threads in [1usize, 4, 16] {
-        for compiled in [true, false] {
-            let label = if compiled { "compiled" } else { "interpreted" };
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{threads}thr")),
-                &threads,
-                |b, &t| {
-                    b.iter_batched(
-                        || fresh_engine(compiled),
-                        |(engine, name)| black_box(run_lifecycle(&engine, &name, n, t)),
-                        BatchSize::PerIteration,
-                    )
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("lifecycle", format!("{threads}thr")),
+            &threads,
+            |b, &t| {
+                b.iter_batched(
+                    fresh_engine,
+                    |(engine, name)| black_box(run_lifecycle(&engine, &name, n, t)),
+                    BatchSize::PerIteration,
+                )
+            },
+        );
     }
     group.finish();
 }

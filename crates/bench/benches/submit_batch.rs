@@ -1,10 +1,9 @@
 //! The unified command API under load:
 //!
-//! * `submit_batch` — batched command submission versus the per-verb entry
-//!   points and versus one `submit` per command. A batch resolves the
-//!   instance context once and commits the whole group under a single
-//!   store update, so the gap widens with batch size — this is the
-//!   heavy-traffic execution hot path.
+//! * `submit_batch` — batched command submission versus one `submit` per
+//!   command. A batch resolves the instance context once and commits the
+//!   whole group under a single store update, so the gap widens with
+//!   batch size — this is the heavy-traffic execution hot path.
 //! * `worklist` — the incrementally indexed worklist versus the full
 //!   O(instances × nodes) recompute at population scale, plus the cost of
 //!   keeping the index current from command outcomes.
@@ -32,66 +31,12 @@ fn chain_engine(n: usize) -> (ProcessEngine, InstanceId, Vec<NodeId>) {
     (engine, id, nodes)
 }
 
-/// The pre-redesign verb implementation, reconstructed for comparison:
-/// every verb resolved the schema context from scratch, read a **full
-/// clone** of the instance (state, history, data), mutated the clone and
-/// wrote it back with another clone — and the get → update round-trip was
-/// not atomic. This is the exact code shape `submit` replaced.
-fn legacy_verb_pair(engine: &ProcessEngine, id: InstanceId, node: NodeId) {
-    use adept_state::Execution;
-    for phase in 0..2u8 {
-        let inst = engine.store.get(id).unwrap();
-        let schema = engine.store.schema_of(&engine.repo, id).unwrap();
-        let dep = engine.repo.deployed(&inst.type_name, inst.version).unwrap();
-        let ex = Execution::with_blocks(&schema, (*dep.blocks).clone());
-        let mut inst = engine.store.get(id).unwrap();
-        if phase == 0 {
-            ex.start_activity(&mut inst.state, node).unwrap();
-        } else {
-            ex.complete_activity(&mut inst.state, node, vec![]).unwrap();
-        }
-        engine.store.update(id, |i| i.state = inst.state.clone());
-    }
-}
-
 fn bench_submit_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("submit_batch");
     group.sample_size(30);
 
     for n in [1usize, 8, 32] {
         group.throughput(Throughput::Elements(n as u64));
-
-        // The old get → clone → update verbs (see `legacy_verb_pair`).
-        group.bench_with_input(BenchmarkId::new("legacy_verbs", n), &n, |b, &n| {
-            b.iter_batched(
-                || chain_engine(n),
-                |(engine, id, nodes)| {
-                    for node in nodes {
-                        legacy_verb_pair(&engine, id, node);
-                    }
-                    black_box(engine.is_finished(id).unwrap())
-                },
-                criterion::BatchSize::PerIteration,
-            )
-        });
-
-        // Deprecated per-verb path: 2 engine calls per activity, each now
-        // a thin delegate to `submit` (so the remaining gap to `batched`
-        // is pure per-call overhead).
-        #[allow(deprecated)] // explicit baseline: the per-verb wrappers
-        group.bench_with_input(BenchmarkId::new("per_verb", n), &n, |b, &n| {
-            b.iter_batched(
-                || chain_engine(n),
-                |(engine, id, nodes)| {
-                    for node in nodes {
-                        engine.start_activity(id, node).unwrap();
-                        engine.complete_activity(id, node, vec![]).unwrap();
-                    }
-                    black_box(engine.is_finished(id).unwrap())
-                },
-                criterion::BatchSize::PerIteration,
-            )
-        });
 
         // One submit per command: the command path without batching.
         group.bench_with_input(BenchmarkId::new("submit_single", n), &n, |b, &n| {

@@ -200,10 +200,10 @@ pub(crate) struct ExecCtx {
     /// defensive state snapshot entirely.
     pub snapshot_free: bool,
     /// The shared compiled arena of the `(type, version)` this context
-    /// resolved to — present exactly when the instance is unbiased and the
-    /// engine's compiled path is enabled. Biased instances materialise an
-    /// overlaid schema the arena does not describe, so they stay `None`
-    /// and every command takes the interpreted path.
+    /// resolved to — present exactly when the instance is unbiased. Biased
+    /// instances materialise an overlaid schema the arena does not
+    /// describe, so they stay `None` and every command takes the
+    /// interpreted path.
     pub compiled: Option<Arc<CompiledSchema>>,
 }
 
@@ -250,8 +250,8 @@ impl ExecCtx {
     }
 
     /// The execution path for this context: the compiled core when the
-    /// arena is cached (unbiased instance, compiled path enabled), the
-    /// interpreter otherwise. Both are zero-copy over the context.
+    /// arena is cached (unbiased instance), the interpreter otherwise.
+    /// Both are zero-copy over the context.
     pub fn exec(&self) -> ExecRef<'_> {
         match &self.compiled {
             Some(arena) => ExecRef::Compiled(CompiledExecution::new(&self.schema, arena)),
@@ -513,10 +513,8 @@ impl ProcessEngine {
             .repo
             .deployed(type_name, version)
             .ok_or_else(|| EngineError::NotFound(format!("version {version}")))?;
-        let arena = self
-            .compiled_enabled()
-            .then(|| self.repo.compiled(type_name, version))
-            .flatten();
+        // A fresh instance is unbiased: it runs on the version's arena.
+        let arena = self.repo.compiled(type_name, version);
         let ex = match &arena {
             Some(a) => ExecRef::Compiled(CompiledExecution::new(&dep.schema, a)),
             None => ExecRef::Interp(dep.execution()),
@@ -699,7 +697,7 @@ impl ProcessEngine {
     /// compare-and-set against the pre-drive snapshot, so a concurrent
     /// command neither deadlocks nor gets clobbered (a lost CAS retries
     /// the drive from the fresh state). A driver error leaves the store
-    /// untouched, like the old `run_instance` did.
+    /// untouched.
     fn apply_drive(
         &self,
         id: InstanceId,
@@ -804,12 +802,7 @@ impl ProcessEngine {
                 .store
                 .with_instance(id, |inst| ctx.matches(inst))
                 .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-            // A cached context is also stale when the path selector
-            // flipped since it was built — rebuild so toggling the
-            // compiled core takes effect on the next resolution.
-            let path_current =
-                ctx.compiled.is_some() == (ctx.bias.is_empty() && self.compiled_enabled());
-            if live && path_current {
+            if live {
                 return Ok(ctx);
             }
         }
@@ -844,9 +837,9 @@ impl ProcessEngine {
             )
         };
         // The compiled arena only describes committed versions: biased
-        // instances (and engines with the compiled path disabled) leave it
-        // out and every command falls back to the interpreter.
-        let compiled = if bias.is_empty() && self.compiled_enabled() {
+        // instances leave it out and every command falls back to the
+        // interpreter.
+        let compiled = if bias.is_empty() {
             self.repo.compiled(&type_name, version)
         } else {
             None

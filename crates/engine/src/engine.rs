@@ -7,11 +7,10 @@ use crate::shard::ShardedMap;
 use crate::worklist::{items_for, WorkItem, WorklistDelta, WorklistIndex};
 use adept_core::{
     adapt_instance_state, apply_op, check_fast, compliance::check_fast_op, migrate_instance,
-    ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
-    Verdict,
+    ChangeError, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
 };
-use adept_model::{Blocks, DataId, InstanceId, NodeId, ProcessSchema, Value};
-use adept_state::{Decision, Driver, Execution, RuntimeError};
+use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
+use adept_state::{Decision, Execution, RuntimeError};
 use adept_storage::ordered::classes;
 use adept_storage::{
     InstanceRecord, InstanceStore, JournaledError, MemoryBreakdown, Representation,
@@ -20,7 +19,7 @@ use adept_storage::{
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Engine-level error.
@@ -114,10 +113,6 @@ pub struct ProcessEngine {
     /// Instances already reported as unresolvable by the worklist (one
     /// monitor event per ongoing failure, not one per poll).
     wl_failures: ShardedMap<()>,
-    /// Whether unbiased instances run on the compiled arena core (default
-    /// `true`). Flip off to force the interpreter everywhere — the knob
-    /// the equivalence suite and the macro benchmark compare across.
-    compiled_enabled: AtomicBool,
     /// Commands/creates/drives served by the compiled tier.
     path_compiled: AtomicU64,
     /// Commands/creates/drives served by the interpreted tier.
@@ -141,7 +136,6 @@ impl ProcessEngine {
             ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
             wl_index: WorklistIndex::default(),
             wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
-            compiled_enabled: AtomicBool::new(true),
             path_compiled: AtomicU64::new(0),
             path_interp: AtomicU64::new(0),
         }
@@ -153,18 +147,7 @@ impl ProcessEngine {
     /// log (plus an optional snapshot) after a crash. The backend must be
     /// empty — recovering an existing log is `recover`'s job.
     pub fn with_wal(backend: Box<dyn StorageBackend>) -> Result<Self, EngineError> {
-        Self::with_strategy_and_wal(Representation::Hybrid, backend)
-    }
-
-    /// [`ProcessEngine::with_wal`] with an explicit storage strategy.
-    pub fn with_strategy_and_wal(
-        strategy: Representation,
-        backend: Box<dyn StorageBackend>,
-    ) -> Result<Self, EngineError> {
-        let wal = WriteAheadLog::create(backend)?;
-        let mut engine = Self::with_strategy(strategy);
-        engine.txn_log = TxnLog::over(Arc::new(wal));
-        Ok(engine)
+        Self::with_segmented_wal(vec![backend])
     }
 
     /// Creates a **durable** engine whose write-ahead log is segmented
@@ -177,17 +160,9 @@ impl ProcessEngine {
     /// by sequence. One segment is byte-identical to
     /// [`ProcessEngine::with_wal`].
     pub fn with_segmented_wal(backends: Vec<Box<dyn StorageBackend>>) -> Result<Self, EngineError> {
-        Self::with_strategy_and_segmented_wal(Representation::Hybrid, backends)
-    }
-
-    /// [`ProcessEngine::with_segmented_wal`] with an explicit storage
-    /// strategy.
-    pub fn with_strategy_and_segmented_wal(
-        strategy: Representation,
-        backends: Vec<Box<dyn StorageBackend>>,
-    ) -> Result<Self, EngineError> {
         let wal = WriteAheadLog::create_segmented(backends)?;
-        let mut engine = Self::with_strategy(strategy);
+        // Hybrid: the only strategy WAL-only recovery rebuilds.
+        let mut engine = Self::new();
         engine.txn_log = TxnLog::over(Arc::new(wal));
         Ok(engine)
     }
@@ -286,7 +261,6 @@ impl ProcessEngine {
             ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
             wl_index: WorklistIndex::default(),
             wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
-            compiled_enabled: AtomicBool::new(true),
             path_compiled: AtomicU64::new(0),
             path_interp: AtomicU64::new(0),
         }
@@ -295,19 +269,6 @@ impl ProcessEngine {
     // ------------------------------------------------------------------
     // Execution-path selection
     // ------------------------------------------------------------------
-
-    /// Whether unbiased instances run on the compiled arena core.
-    pub fn compiled_enabled(&self) -> bool {
-        self.compiled_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the compiled execution core. Takes effect on
-    /// the next context resolution of each instance: a cached context
-    /// whose path disagrees with the flag is treated as stale and
-    /// rebuilt, so no command runs on the old tier after the flip.
-    pub fn set_compiled_enabled(&self, enabled: bool) {
-        self.compiled_enabled.store(enabled, Ordering::Relaxed);
-    }
 
     /// `(compiled, interpreted)` — how many command-path executions each
     /// tier served. Biased instances always count on the interpreted side;
@@ -337,15 +298,9 @@ impl ProcessEngine {
     /// engine the deployment is journaled after it verifies and before it
     /// becomes visible; a journaling failure installs nothing.
     pub fn deploy(&self, schema: ProcessSchema) -> Result<String, EngineError> {
-        let wal = self.txn_log.wal();
-        let name = if wal.enabled() {
-            self.repo.deploy_journaled(schema, |s| {
-                wal.append(WalRecord::Deployed { schema: s.clone() })
-                    .map(|_| ())
-            })?
-        } else {
-            self.repo.deploy(schema)?
-        };
+        let name = self.repo.deploy_journaled(schema, |s| {
+            self.journal(|| WalRecord::Deployed { schema: s.clone() })
+        })?;
         self.monitor.record(EngineEvent::Deployed {
             type_name: name.clone(),
         });
@@ -639,101 +594,12 @@ impl ProcessEngine {
         }
     }
 
-    /// Starts an activated activity of an instance.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::Start { instance, node })"
-    )]
-    pub fn start_activity(&self, id: InstanceId, node: NodeId) -> Result<(), EngineError> {
-        self.submit(EngineCommand::Start { instance: id, node })
-            .map(|_| ())
-    }
-
-    /// Completes a running activity with its output values.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::Complete { instance, node, writes })"
-    )]
-    pub fn complete_activity(
-        &self,
-        id: InstanceId,
-        node: NodeId,
-        writes: Vec<(DataId, Value)>,
-    ) -> Result<(), EngineError> {
-        self.submit(EngineCommand::Complete {
-            instance: id,
-            node,
-            writes,
-        })
-        .map(|_| ())
-    }
-
     /// Pending XOR/loop decisions of an instance.
     pub fn pending_decisions(&self, id: InstanceId) -> Result<Vec<Decision>, EngineError> {
         let ctx = self.exec_context(id)?;
         self.store
             .with_instance(id, |inst| ctx.execution().pending_decisions(&inst.state))
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))
-    }
-
-    /// Resolves a pending XOR decision.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::DecideXor { instance, split, branch_target })"
-    )]
-    pub fn decide_xor(
-        &self,
-        id: InstanceId,
-        split: NodeId,
-        branch_target: NodeId,
-    ) -> Result<(), EngineError> {
-        self.submit(EngineCommand::DecideXor {
-            instance: id,
-            split,
-            branch_target,
-        })
-        .map(|_| ())
-    }
-
-    /// Resolves a pending loop decision.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::DecideLoop { instance, loop_end, iterate })"
-    )]
-    pub fn decide_loop(
-        &self,
-        id: InstanceId,
-        loop_end: NodeId,
-        iterate: bool,
-    ) -> Result<(), EngineError> {
-        self.submit(EngineCommand::DecideLoop {
-            instance: id,
-            loop_end,
-            iterate,
-        })
-        .map(|_| ())
-    }
-
-    /// Drives an instance forward with a driver (simulation), completing at
-    /// most `max_activities`.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit_with_driver(EngineCommand::Drive { instance, max }, driver)"
-    )]
-    pub fn run_instance(
-        &self,
-        id: InstanceId,
-        driver: &mut dyn Driver,
-        max_activities: Option<usize>,
-    ) -> Result<usize, EngineError> {
-        self.submit_with_driver(
-            EngineCommand::Drive {
-                instance: id,
-                max: max_activities,
-            },
-            driver,
-        )
-        .map(|o| o.completed)
     }
 
     /// Whether an instance has reached its end node.
@@ -781,26 +647,6 @@ impl ProcessEngine {
     // ------------------------------------------------------------------
     // Ad-hoc change (instance level)
     // ------------------------------------------------------------------
-
-    /// Applies an ad-hoc change to a single running instance.
-    ///
-    /// Thin wrapper over a one-operation change transaction
-    /// ([`ProcessEngine::begin_change`] → stage → commit): the operation's
-    /// structural preconditions, the full verification postcondition and
-    /// the Fig. 1 state precondition all still apply, and on success the
-    /// instance's bias, substitution block and adapted state are committed
-    /// atomically — other instances are unaffected.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use begin_change(id) → stage(op) → preview()/commit(); one transaction \
-                amortises verification over all staged ops"
-    )]
-    pub fn ad_hoc_change(&self, id: InstanceId, op: &ChangeOp) -> Result<(), EngineError> {
-        let mut session = self.begin_change(id)?;
-        session.stage(op)?;
-        session.commit()?;
-        Ok(())
-    }
 
     /// Undoes the most recent ad-hoc change of an instance (inverse
     /// operation with full pre-/post-condition and state checking). The
@@ -879,7 +725,7 @@ impl ProcessEngine {
         // a journaling failure aborts the undo.
         let wal = self.txn_log.wal();
         let mut seq = 0u64;
-        let installed = self.store.set_bias_if_journaled(
+        let installed = self.store.set_bias(
             id,
             inst.version,
             &inst.bias,
@@ -927,35 +773,6 @@ impl ProcessEngine {
     // ------------------------------------------------------------------
     // Schema evolution and migration
     // ------------------------------------------------------------------
-
-    /// Evolves a process type to a new version.
-    ///
-    /// Thin wrapper over a change transaction
-    /// ([`ProcessEngine::begin_evolution`] → stage each op → commit), so
-    /// the whole batch pays one verification pass and either becomes one
-    /// new version or — if any operation fails — no version at all.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use begin_evolution(type) → stage(op) → preview()/commit() for staged, \
-                previewable multi-op evolutions"
-    )]
-    pub fn evolve_type(
-        &self,
-        type_name: &str,
-        ops: &[ChangeOp],
-    ) -> Result<(u32, Delta), EngineError> {
-        let mut session = self.begin_evolution(type_name)?;
-        for op in ops {
-            session.stage(op)?;
-        }
-        let receipt = session.commit()?;
-        Ok((
-            receipt
-                .new_version
-                .expect("invariant: a committed evolution always carries its new version"),
-            receipt.delta,
-        ))
-    }
 
     /// Migrates all instances of a type to its newest version (hop by hop
     /// through intermediate versions). With `threads > 1` the per-instance
@@ -1170,22 +987,17 @@ impl ProcessEngine {
                     // On a durable engine the hop's post-image is
                     // journaled inside the CAS (before visibility); a
                     // journaling failure aborts the hop.
-                    let wal = self.txn_log.wal();
-                    let installed = self.store.migrate_if_journaled(
+                    let installed = self.store.migrate(
                         id,
-                        Some((inst.version, &inst.state)),
+                        inst.version,
+                        &inst.state,
                         next,
                         adapted,
                         res.materialized.as_ref(),
                         |candidate| {
-                            if wal.enabled() {
-                                wal.append(WalRecord::Migrated {
-                                    record: InstanceRecord::of(candidate),
-                                })
-                                .map(|_| ())
-                            } else {
-                                Ok(())
-                            }
+                            self.journal(|| WalRecord::Migrated {
+                                record: InstanceRecord::of(candidate),
+                            })
                         },
                     );
                     match installed {
@@ -1319,7 +1131,7 @@ fn panic_outcomes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_core::NewActivity;
+    use adept_core::{ChangeOp, NewActivity};
     use adept_model::SchemaBuilder;
 
     /// Drives an instance through the command path.

@@ -23,15 +23,13 @@
 //!
 //! Command execution resolves each instance's cached `ExecCtx` once per
 //! batch and dispatches it to one of two observationally identical
-//! tiers: the interpreted `adept_state::Execution`, or — for unbiased
-//! instances of a committed version, the default — the **compiled**
-//! core (`adept_state::CompiledExecution` over a shared
-//! `Arc<adept_model::CompiledSchema>` arena cached in the schema
-//! repository, one compile per version). Ad-hoc-biased instances always
-//! fall back to the interpreter; redeploying a type evicts its arenas.
-//! [`ProcessEngine::set_compiled_enabled`] flips the tier at run time
-//! and [`ProcessEngine::exec_path_counts`] reports the split — see
-//! `docs/EXECUTION_CORE.md` for the full invalidation and fallback
+//! tiers by a fixed rule: unbiased instances of a committed version run
+//! on the **compiled** core (`adept_state::CompiledExecution` over a
+//! shared `Arc<adept_model::CompiledSchema>` arena cached in the schema
+//! repository, one compile per version); ad-hoc-biased instances run on
+//! the interpreted `adept_state::Execution`. Redeploying a type evicts
+//! its arenas. [`ProcessEngine::exec_path_counts`] reports the split —
+//! see `docs/EXECUTION_CORE.md` for the full invalidation and fallback
 //! rules.
 //!
 //! ## Executing instances: submit / submit_batch
@@ -55,8 +53,7 @@
 //!
 //! // Batched submission: the instance's (schema, blocks) context is
 //! // resolved ONCE and the whole group commits under a single atomic
-//! // store update — the per-verb get → clone → update round-trips (and
-//! // their lost-update race) are gone.
+//! // store update.
 //! let outcomes = engine.submit_batch(vec![
 //!     EngineCommand::Start { instance: id, node: submit },
 //!     EngineCommand::Complete { instance: id, node: submit, writes: vec![] },
@@ -70,9 +67,6 @@
 //! assert!(engine.worklist().is_empty());
 //! ```
 //!
-//! The old per-verb entry points (`start_activity`, `complete_activity`,
-//! `decide_xor`, `decide_loop`, `run_instance`) remain as deprecated thin
-//! wrappers over `submit` — same transitions, same events, one code path.
 //! Use [`ProcessEngine::try_worklist`] to surface instances whose store
 //! entry or schema no longer resolves instead of skipping them.
 //!
@@ -159,10 +153,16 @@
 //! [`ProcessEngine::begin_evolution`]; committed transactions land in the
 //! persisted [`adept_storage::TxnLog`] (`engine.txn_log`) with their
 //! recorded inverses, and their commits invalidate the affected
-//! instance's cached execution context and worklist entry. The single-op
-//! entry points [`ProcessEngine::ad_hoc_change`] /
-//! [`ProcessEngine::evolve_type`] remain as deprecated wrappers over
-//! one-op transactions.
+//! instance's cached execution context and worklist entry.
+//!
+//! Every store mutation goes through one install primitive, and each
+//! takes a write-ahead journaling hook that runs before the change
+//! becomes visible:
+//! `adept_storage::SchemaRepository::deploy_journaled` (deployments),
+//! `SchemaRepository::install_evolution` (type evolutions),
+//! `adept_storage::InstanceStore::set_bias` (ad-hoc changes and undos)
+//! and `InstanceStore::migrate` (migration hops). On an engine without a
+//! WAL the hook is a no-op.
 //!
 //! ## Durability: write-ahead log + crash recovery
 //!

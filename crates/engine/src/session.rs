@@ -340,7 +340,7 @@ impl ChangeSession<'_> {
         // could not record never becomes visible.
         let wal = engine.txn_log.wal();
         let mut seq = 0u64;
-        let installed = engine.store.set_bias_if_journaled(
+        let installed = engine.store.set_bias(
             id,
             inst.version,
             &inst.bias,
@@ -421,7 +421,7 @@ impl ChangeSession<'_> {
         // critical section, *before* the new version becomes visible.
         let wal = engine.txn_log.wal();
         let mut seq = 0u64;
-        let v = match engine.repo.install_evolution_journaled(
+        let v = match engine.repo.install_evolution(
             &name,
             base_version,
             committed.schema,

@@ -409,92 +409,22 @@ impl InstanceStore {
         Some(arc)
     }
 
-    /// Records a new bias state for an instance after an ad-hoc change:
-    /// stores the delta and substitution block, refreshes the runtime
-    /// state, and updates the strategy-specific artefacts.
-    pub fn set_bias(
-        &self,
-        id: InstanceId,
-        bias: Delta,
-        materialized: &ProcessSchema,
-        state: InstanceState,
-    ) -> bool {
-        self.install_bias(id, None, bias, materialized, state)
-    }
-
-    /// Compare-and-set variant of [`InstanceStore::set_bias`]: the new
-    /// bias/state is installed only if the instance's version, bias and
-    /// state still match the snapshot the caller validated against —
-    /// check and install happen under one shard write lock, so a change
-    /// committed from a stale snapshot (racing commit, migration or
-    /// execution step in between) is rejected instead of clobbering the
-    /// concurrent update. Returns `false` on mismatch or unknown id.
+    /// Records a new bias state for an instance after an ad-hoc change or
+    /// undo: stores the delta and substitution block, the adapted state,
+    /// and the strategy-specific artefacts.
+    ///
+    /// Compare-and-set: the install happens only if the instance's
+    /// version, bias and state still match the snapshot the caller
+    /// validated against, so a change committed from a stale snapshot
+    /// (racing commit, migration or execution step) is rejected instead
+    /// of clobbering the concurrent update. Once the check passes, the
+    /// fully built candidate is handed to `journal` **before** it is
+    /// installed — still under the shard write lock, so the WAL records
+    /// installs in their visibility order. If journaling fails nothing is
+    /// installed and the error surfaces; `Ok(false)` means a CAS mismatch
+    /// or an unknown id. Callers without a WAL pass `|_| Ok(())`.
     #[allow(clippy::too_many_arguments)]
-    pub fn set_bias_if(
-        &self,
-        id: InstanceId,
-        expected_version: u32,
-        expected_bias: &Delta,
-        expected_state: &InstanceState,
-        bias: Delta,
-        materialized: &ProcessSchema,
-        state: InstanceState,
-    ) -> bool {
-        self.install_bias(
-            id,
-            Some((expected_version, expected_bias, expected_state)),
-            bias,
-            materialized,
-            state,
-        )
-    }
-
-    fn install_bias(
-        &self,
-        id: InstanceId,
-        expected: Option<(u32, &Delta, &InstanceState)>,
-        bias: Delta,
-        materialized: &ProcessSchema,
-        state: InstanceState,
-    ) -> bool {
-        let mut shard = self.shard(id).write();
-        let Some(inst) = shard.instances.get_mut(&id) else {
-            return false;
-        };
-        if let Some((version, exp_bias, exp_state)) = expected {
-            if inst.version != version || inst.bias != *exp_bias || inst.state != *exp_state {
-                return false;
-            }
-        }
-        inst.subst = SubstitutionBlock::from_delta(&bias, materialized);
-        inst.bias = bias;
-        inst.state = state;
-        match self.strategy {
-            Representation::FullCopy => {
-                inst.full_copy = Some(Arc::new(materialized.clone()));
-                inst.cached_overlay = None;
-            }
-            Representation::Hybrid => {
-                // Cache is invalidated; the next access re-overlays.
-                inst.cached_overlay = None;
-                inst.full_copy = None;
-            }
-            Representation::RedundantFree => {
-                inst.full_copy = None;
-                inst.cached_overlay = None;
-            }
-        }
-        true
-    }
-
-    /// [`InstanceStore::set_bias_if`] with a write-ahead journaling hook:
-    /// once the compare-and-set check passes, the fully-built candidate
-    /// instance is handed to `journal` **before** it is installed — still
-    /// under the shard write lock, so the WAL records installs in their
-    /// visibility order. If journaling fails nothing is installed and the
-    /// error surfaces (`Ok(false)` = CAS mismatch, as before).
-    #[allow(clippy::too_many_arguments)]
-    pub fn set_bias_if_journaled<E>(
+    pub fn set_bias<E>(
         &self,
         id: InstanceId,
         expected_version: u32,
@@ -535,64 +465,22 @@ impl InstanceStore {
         Ok(true)
     }
 
-    /// Re-homes an instance after migration: new version, possibly rebased
-    /// bias artefacts, adapted state.
-    pub fn migrate(
+    /// Re-homes an instance after a migration hop: new version, possibly
+    /// rebased bias artefacts, adapted state.
+    ///
+    /// Compare-and-set like [`InstanceStore::set_bias`]: installs only if
+    /// the instance's version and state still match the snapshot the hop
+    /// checked compliance against, so a command committing between the
+    /// migration's read and its install is never overwritten by state
+    /// adapted from the stale snapshot (`Ok(false)`: callers re-read and
+    /// retry). The candidate is journaled under the shard write lock after
+    /// the check passes and installed only if journaling succeeds.
+    #[allow(clippy::too_many_arguments)]
+    pub fn migrate<E>(
         &self,
         id: InstanceId,
-        new_version: u32,
-        state: InstanceState,
-        materialized: Option<&ProcessSchema>,
-    ) -> bool {
-        self.migrate_if(id, None, new_version, state, materialized)
-    }
-
-    /// Compare-and-set variant of [`InstanceStore::migrate`]: installs
-    /// only if the instance's version and state still match the snapshot
-    /// the migration checked compliance against — a command committing
-    /// between the migration's read and its install would otherwise be
-    /// silently overwritten by state adapted from the stale snapshot.
-    /// Returns `false` on mismatch (callers re-read and retry).
-    pub fn migrate_if(
-        &self,
-        id: InstanceId,
-        expected: Option<(u32, &InstanceState)>,
-        new_version: u32,
-        state: InstanceState,
-        materialized: Option<&ProcessSchema>,
-    ) -> bool {
-        let mut shard = self.shard(id).write();
-        let Some(inst) = shard.instances.get_mut(&id) else {
-            return false;
-        };
-        if let Some((version, exp_state)) = expected {
-            if inst.version != version || inst.state != *exp_state {
-                return false;
-            }
-        }
-        inst.version = new_version;
-        inst.state = state;
-        inst.cached_overlay = None;
-        inst.full_copy = None;
-        if let Some(m) = materialized {
-            inst.subst = SubstitutionBlock::from_delta(&inst.bias, m);
-            match self.strategy {
-                Representation::FullCopy => inst.full_copy = Some(Arc::new(m.clone())),
-                Representation::Hybrid => inst.cached_overlay = Some(Arc::new(m.clone())),
-                Representation::RedundantFree => {}
-            }
-        }
-        true
-    }
-
-    /// [`InstanceStore::migrate_if`] with a write-ahead journaling hook —
-    /// same contract as [`InstanceStore::set_bias_if_journaled`]: the
-    /// candidate is journaled under the shard write lock after the CAS
-    /// check passes and installed only if journaling succeeds.
-    pub fn migrate_if_journaled<E>(
-        &self,
-        id: InstanceId,
-        expected: Option<(u32, &InstanceState)>,
+        expected_version: u32,
+        expected_state: &InstanceState,
         new_version: u32,
         state: InstanceState,
         materialized: Option<&ProcessSchema>,
@@ -602,10 +490,8 @@ impl InstanceStore {
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
         };
-        if let Some((version, exp_state)) = expected {
-            if inst.version != version || inst.state != *exp_state {
-                return Ok(false);
-            }
+        if inst.version != expected_version || inst.state != *expected_state {
+            return Ok(false);
         }
         let mut candidate = StoredInstance {
             id: inst.id,
@@ -704,7 +590,19 @@ mod tests {
             )
             .unwrap(),
         );
-        assert!(store.set_bias(id, bias, &materialized, st));
+        let installed = store
+            .set_bias(
+                id,
+                1,
+                &Delta::new(),
+                &st,
+                bias,
+                &materialized,
+                st.clone(),
+                |_| Ok::<_, ()>(()),
+            )
+            .unwrap();
+        assert!(installed);
         (id, materialized)
     }
 

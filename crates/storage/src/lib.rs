@@ -29,9 +29,12 @@
 //! * **N-way sharding** — instances are spread over
 //!   [`instances::DEFAULT_SHARD_COUNT`] independent `RwLock`-protected
 //!   maps, keyed by `InstanceId::hash64()`. Per-instance operations
-//!   (get, update, the compare-and-set installs `set_bias_if` /
-//!   `migrate_if`) touch exactly one shard; commands on different
-//!   instances proceed in parallel.
+//!   (get, update, and the two compare-and-set installs
+//!   [`InstanceStore::set_bias`] / [`InstanceStore::migrate`], each
+//!   taking a write-ahead journaling hook) touch exactly one shard;
+//!   commands on different instances proceed in parallel. Type-level
+//!   installs go through [`SchemaRepository::deploy_journaled`] and
+//!   [`SchemaRepository::install_evolution`], likewise hook-taking.
 //! * **Lock-free id allocation** — a single `AtomicU64`. The old
 //!   allocator was a `RwLock<u32>` that silently wrapped at `u32::MAX`;
 //!   the 64-bit space cannot realistically be exhausted.

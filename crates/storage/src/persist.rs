@@ -271,7 +271,19 @@ mod tests {
             )
             .unwrap(),
         );
-        store.set_bias(id, bias, &materialized, st);
+        let installed = store
+            .set_bias(
+                id,
+                1,
+                &Delta::new(),
+                &st,
+                bias,
+                &materialized,
+                st.clone(),
+                |_| Ok::<_, ()>(()),
+            )
+            .unwrap();
+        assert!(installed);
         (repo, store, name)
     }
 

@@ -97,10 +97,8 @@ impl SchemaRepository {
     }
 
     /// Deploys a new process type (version 1). The schema must verify.
-    pub fn deploy(&self, mut schema: ProcessSchema) -> Result<String, ChangeError> {
-        let id = self.next_schema_id.fetch_add(1, Ordering::Relaxed) + 1;
-        schema.id = SchemaId(id);
-        self.deploy_assigned(schema)
+    pub fn deploy(&self, schema: ProcessSchema) -> Result<String, ChangeError> {
+        self.deploy_with(self.assign_id(schema), |_| Ok(()))
     }
 
     /// Deploys a schema **keeping its embedded id** — the restore/replay
@@ -110,13 +108,37 @@ impl SchemaRepository {
     pub fn deploy_recorded(&self, schema: ProcessSchema) -> Result<String, ChangeError> {
         self.next_schema_id
             .fetch_max(schema.id.0, Ordering::Relaxed);
-        self.deploy_assigned(schema)
+        self.deploy_with(schema, |_| Ok(()))
     }
 
-    fn deploy_assigned(&self, schema: ProcessSchema) -> Result<String, ChangeError> {
+    /// Deploys a new type with a write-ahead journaling hook: `journal`
+    /// runs after the schema has verified and analysed, **before** the
+    /// deployment becomes visible. If journaling fails nothing is
+    /// installed.
+    pub fn deploy_journaled(
+        &self,
+        schema: ProcessSchema,
+        journal: impl FnOnce(&ProcessSchema) -> Result<(), StorageError>,
+    ) -> Result<String, JournaledError> {
+        self.deploy_with(self.assign_id(schema), |s| Ok(journal(s)?))
+    }
+
+    /// Stamps a fresh schema id on a schema about to be deployed.
+    fn assign_id(&self, mut schema: ProcessSchema) -> ProcessSchema {
+        schema.id = SchemaId(self.next_schema_id.fetch_add(1, Ordering::Relaxed) + 1);
+        schema
+    }
+
+    /// The one deployment body: verify, analyse, journal, install.
+    fn deploy_with<E: From<ChangeError>>(
+        &self,
+        schema: ProcessSchema,
+        journal: impl FnOnce(&ProcessSchema) -> Result<(), E>,
+    ) -> Result<String, E> {
         let name = schema.name.clone();
         let pt = ProcessType::new(schema)?;
         let dep = DeployedSchema::new(pt.latest().clone())?;
+        journal(&dep.schema)?;
         self.install_type(name.clone(), pt, dep);
         Ok(name)
     }
@@ -141,25 +163,6 @@ impl SchemaRepository {
         types.insert(name, pt);
     }
 
-    /// Deploys a new type with a write-ahead journaling hook: `journal`
-    /// runs after the schema has verified and analysed, **before** the
-    /// deployment becomes visible. If journaling fails nothing is
-    /// installed.
-    pub fn deploy_journaled(
-        &self,
-        mut schema: ProcessSchema,
-        journal: impl FnOnce(&ProcessSchema) -> Result<(), StorageError>,
-    ) -> Result<String, JournaledError> {
-        let id = self.next_schema_id.fetch_add(1, Ordering::Relaxed) + 1;
-        schema.id = SchemaId(id);
-        let name = schema.name.clone();
-        let pt = ProcessType::new(schema)?;
-        let dep = DeployedSchema::new(pt.latest().clone())?;
-        journal(&dep.schema)?;
-        self.install_type(name.clone(), pt, dep);
-        Ok(name)
-    }
-
     /// Evolves a type to a new version and returns `(new_version, delta)`.
     pub fn evolve(&self, name: &str, ops: &[ChangeOp]) -> Result<(u32, Delta), ChangeError> {
         let k = name_key(name);
@@ -182,51 +185,14 @@ impl SchemaRepository {
     /// against racing evolutions: if another transaction committed first,
     /// the install is rejected and nothing changes. Returns the new
     /// version number.
+    ///
+    /// `journal` receives the new version number and runs after the
+    /// evolution has fully validated (version pushed, block structure
+    /// analysed) but while the types shard lock is still held — i.e.
+    /// **before** any reader can observe the new version, so the WAL
+    /// records evolutions in their visibility order. If journaling fails
+    /// the pushed version is rolled back and nothing is installed.
     pub fn install_evolution(
-        &self,
-        name: &str,
-        expected_base: u32,
-        schema: ProcessSchema,
-        delta: Delta,
-    ) -> Result<u32, ChangeError> {
-        let k = name_key(name);
-        let mut types = self.types.for_raw(k).write();
-        let pt = types
-            .get_mut(name)
-            .ok_or_else(|| ChangeError::Precondition(format!("unknown process type {name:?}")))?;
-        if pt.version_count() != expected_base {
-            return Err(ChangeError::Precondition(format!(
-                "concurrent evolution: \"{name}\" is at V{}, transaction began on V{expected_base}",
-                pt.version_count()
-            )));
-        }
-        let v = pt.push_prepared(schema, delta)?;
-        match DeployedSchema::new(pt.latest().clone()) {
-            Ok(dep) => {
-                self.deployed
-                    .for_raw(k)
-                    .write()
-                    .insert((name.to_string(), v), dep);
-                Ok(v)
-            }
-            Err(e) => {
-                // Keep the install atomic: a schema whose block structure
-                // does not analyze must not leave a half-pushed version.
-                pt.pop_prepared();
-                Err(e)
-            }
-        }
-    }
-
-    /// [`SchemaRepository::install_evolution`] with a write-ahead
-    /// journaling hook. `journal` receives the new version number and
-    /// runs after the evolution has fully validated (version pushed,
-    /// block structure analysed) but while the types shard lock is still
-    /// held — i.e. **before** any reader can observe the new version, so
-    /// the WAL records evolutions in their visibility order. If
-    /// journaling fails the pushed version is rolled back and nothing is
-    /// installed.
-    pub fn install_evolution_journaled(
         &self,
         name: &str,
         expected_base: u32,

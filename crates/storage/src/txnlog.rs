@@ -14,9 +14,8 @@
 //! The old standalone locked `Vec` with its own global sequence is gone —
 //! there is one log, and this is a view of it.
 
-use crate::error::StorageError;
-use crate::wal::{WalRecord, WriteAheadLog};
-use adept_core::{ChangeError, ChangeOp};
+use crate::wal::WriteAheadLog;
+use adept_core::ChangeOp;
 use adept_model::InstanceId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -110,44 +109,6 @@ impl TxnLog {
         log
     }
 
-    /// Appends a committed transaction, assigning the next sequence
-    /// number. Returns the assigned number.
-    ///
-    /// This is the audit-only compatibility path: the record is journaled
-    /// as a [`WalRecord::Txn`] with no state side effect. Commit paths
-    /// that also produce a post-image append through
-    /// [`WriteAheadLog::append_txn`] directly, atomically pairing image
-    /// and audit record in one line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fallible durable backend rejects the append — callers
-    /// of this legacy signature have no error channel. Engine commit
-    /// paths use the fallible WAL API instead.
-    pub fn append(
-        &self,
-        target: TxnTarget,
-        ops: Vec<ChangeOp>,
-        inverses: Vec<Option<ChangeOp>>,
-    ) -> u64 {
-        self.wal
-            .append_txn(|seq| {
-                let record = TxnRecord {
-                    seq,
-                    target,
-                    ops,
-                    inverses,
-                };
-                (
-                    WalRecord::Txn {
-                        record: record.clone(),
-                    },
-                    record,
-                )
-            })
-            .expect("invariant: the non-journaling append closure is infallible")
-    }
-
     /// A snapshot of all records in commit order.
     pub fn records(&self) -> Vec<TxnRecord> {
         self.wal.txn_records()
@@ -162,56 +123,12 @@ impl TxnLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Serialises the log as compact JSONL — one record per line, the
-    /// same codec the WAL uses on its medium, so standalone logs, WAL
-    /// streams and snapshot-embedded records all read identically.
-    pub fn to_json(&self) -> Result<String, StorageError> {
-        let mut out = String::new();
-        for record in self.records() {
-            let line = serde_json::to_string(&record).map_err(|e| StorageError::Encode {
-                detail: format!("txn record #{}: {e}", record.seq),
-            })?;
-            out.push_str(&line);
-            out.push('\n');
-        }
-        Ok(out)
-    }
-
-    /// Restores a log from its serialised form: JSONL (current) or the
-    /// legacy pretty-printed JSON array (pre-durability snapshots).
-    pub fn from_json(json: &str) -> Result<Self, StorageError> {
-        let trimmed = json.trim_start();
-        let records: Vec<TxnRecord> = if trimmed.starts_with('[') {
-            serde_json::from_str(json)
-                .map_err(|e| StorageError::corrupt(format!("txn log parse failed: {e}")))?
-        } else {
-            let mut records = Vec::new();
-            for line in json.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                records.push(serde_json::from_str(line).map_err(|e| {
-                    StorageError::corrupt(format!("txn log line parse failed: {e}"))
-                })?);
-            }
-            records
-        };
-        Ok(Self::from_records(records))
-    }
-}
-
-// `ChangeError` is what pre-durability callers matched on; keep the
-// conversion available for them.
-impl From<StorageError> for ChangeError {
-    fn from(e: StorageError) -> Self {
-        ChangeError::Precondition(e.to_string())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalRecord;
     use adept_core::NewActivity;
     use adept_model::NodeId;
 
@@ -225,23 +142,38 @@ mod tests {
         (vec![op], vec![Some(inv)])
     }
 
+    /// Journals one audit-only transaction record through `log`'s WAL.
+    fn commit(log: &TxnLog, target: TxnTarget) -> u64 {
+        let (ops, inverses) = sample_ops();
+        log.wal()
+            .append_txn(|seq| {
+                let record = TxnRecord {
+                    seq,
+                    target,
+                    ops,
+                    inverses,
+                };
+                (
+                    WalRecord::Txn {
+                        record: record.clone(),
+                    },
+                    record,
+                )
+            })
+            .unwrap()
+    }
+
     #[test]
     fn append_assigns_monotonic_sequence() {
         let log = TxnLog::new();
         assert!(log.is_empty());
-        let (ops, invs) = sample_ops();
-        let s1 = log.append(
-            TxnTarget::Instance(InstanceId(1)),
-            ops.clone(),
-            invs.clone(),
-        );
-        let s2 = log.append(
+        let s1 = commit(&log, TxnTarget::Instance(InstanceId(1)));
+        let s2 = commit(
+            &log,
             TxnTarget::Type {
                 name: "order".into(),
                 new_version: 2,
             },
-            ops,
-            invs,
         );
         assert_eq!((s1, s2), (1, 2));
         assert_eq!(log.len(), 2);
@@ -251,39 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_records() {
-        let log = TxnLog::new();
-        let (ops, invs) = sample_ops();
-        log.append(TxnTarget::Instance(InstanceId(7)), ops, invs);
-        let json = log.to_json().unwrap();
-        assert_eq!(json.lines().count(), 1, "compact: one record per line");
-        assert!(!json.contains("\n  "), "no pretty indentation");
-        let restored = TxnLog::from_json(&json).unwrap();
-        assert_eq!(restored.records(), log.records());
-        // Appending to the restored log continues the sequence.
-        let (ops, invs) = sample_ops();
-        assert_eq!(
-            restored.append(TxnTarget::Instance(InstanceId(8)), ops, invs),
-            2
-        );
-    }
-
-    #[test]
-    fn from_json_accepts_legacy_array_form() {
-        let log = TxnLog::new();
-        let (ops, invs) = sample_ops();
-        log.append(TxnTarget::Instance(InstanceId(3)), ops, invs);
-        let legacy = serde_json::to_string_pretty(&log.records()).unwrap();
-        let restored = TxnLog::from_json(&legacy).unwrap();
-        assert_eq!(restored.records(), log.records());
-    }
-
-    #[test]
     fn view_over_shared_wal_sees_commits() {
         let wal = Arc::new(WriteAheadLog::disabled());
         let log = TxnLog::over(Arc::clone(&wal));
-        let (ops, invs) = sample_ops();
-        log.append(TxnTarget::Instance(InstanceId(1)), ops, invs);
+        commit(&log, TxnTarget::Instance(InstanceId(1)));
         assert_eq!(wal.txn_len(), 1, "the view writes through to the WAL");
         assert_eq!(TxnLog::over(wal).len(), 1);
     }

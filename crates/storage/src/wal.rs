@@ -90,8 +90,8 @@ pub enum WalRecord {
         /// The removed instance.
         id: InstanceId,
     },
-    /// A standalone audit transaction record (no state side effect —
-    /// the compatibility path of [`crate::TxnLog::append`]).
+    /// A standalone audit transaction record with no state side effect.
+    /// No engine commit path writes one; replay still accepts it.
     Txn {
         /// The audit record.
         record: TxnRecord,

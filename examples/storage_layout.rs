@@ -53,7 +53,20 @@ fn main() {
                     block.added_edges.len(),
                     block.approx_size()
                 );
-                store.set_bias(id, bias, &materialized, st);
+                // No WAL here: the journaling hook is a no-op.
+                let installed = store
+                    .set_bias(
+                        id,
+                        1,
+                        &Delta::new(),
+                        &st,
+                        bias,
+                        &materialized,
+                        st.clone(),
+                        |_| Ok::<_, ()>(()),
+                    )
+                    .unwrap();
+                assert!(installed);
             }
             // Touch the schema (exercises sharing / overlay / copies).
             store.schema_of(&repo, id);

@@ -2,9 +2,9 @@
 //! arena path (`CompiledExecution` over a `CompiledSchema`) must be
 //! indistinguishable from the interpreted path (`Execution`) on every
 //! unbiased instance — identical enabled sets, identical observed event
-//! streams, byte-identical serialized state — and biased instances must
-//! demonstrably fall back to the interpreter (see
-//! `docs/EXECUTION_CORE.md`).
+//! streams, byte-identical serialized state — and an engine's instances
+//! must always agree with the interpreter oracle, with biased instances
+//! demonstrably falling back to it (see `docs/EXECUTION_CORE.md`).
 
 use adept_engine::ProcessEngine;
 use adept_model::CompiledSchema;
@@ -111,69 +111,70 @@ proptest! {
     }
 }
 
-/// The same end-to-end lifecycle — deploy, create, ad-hoc bias, drive,
-/// evolve, migrate, drive to completion, remove — performed on one
-/// engine with the compiled path enabled (the default) and one with it
-/// disabled must leave byte-identical snapshots, and the path counters
-/// must prove biased instances fell back to the interpreter.
+/// The end-to-end lifecycle — deploy, create, ad-hoc bias, drive, evolve,
+/// migrate, drive to completion, remove — on one engine, whose fixed
+/// selection rule runs unbiased instances on the compiled core and biased
+/// ones on the interpreter. After every phase each instance's state must
+/// replay on the interpreter oracle over its materialised context, and the
+/// path counters must prove biased instances fell back to the interpreter.
 #[test]
 fn engine_lifecycles_match_across_paths() {
-    let compiled = ProcessEngine::new();
-    let interp = ProcessEngine::new();
-    interp.set_compiled_enabled(false);
-    assert!(compiled.compiled_enabled());
-    assert!(!interp.compiled_enabled());
-
-    for engine in [&compiled, &interp] {
-        let name = engine.deploy(scenarios::order_process()).unwrap();
-        let v1 = engine.repo.deployed(&name, 1).unwrap();
-        let get = v1.schema.node_by_name("get order").unwrap().id;
-        let collect = v1.schema.node_by_name("collect data").unwrap().id;
-
-        let ids: Vec<_> = (0..12)
-            .map(|_| engine.create_instance(&name).unwrap())
-            .collect();
-        for (k, id) in ids.iter().enumerate() {
-            if k % 4 == 0 {
-                // Bias disjoint from the evolution delta: stays biased,
-                // still migrates.
-                adhoc(
-                    engine,
-                    *id,
-                    &adept_core::ChangeOp::SerialInsert {
-                        activity: adept_core::NewActivity::named("check customer"),
-                        pred: get,
-                        succ: collect,
-                    },
-                )
-                .unwrap();
-            }
-            let mut driver = RandomDriver::new(k as u64);
-            drive_with(engine, *id, &mut driver, Some(1 + k % 3)).unwrap();
+    let engine = ProcessEngine::new();
+    let audit_all = |phase: &str| {
+        for id in engine.all_instances() {
+            let (schema, blocks) = engine.materialized(id).unwrap();
+            let state = engine.store.get(id).unwrap().state;
+            let verdict = Execution::with_blocks_ref(&schema, &blocks).audit(&state);
+            assert!(
+                matches!(verdict, Ok(true)),
+                "{id} diverges from the interpreter oracle after {phase}: {verdict:?}"
+            );
         }
+    };
 
-        evolve(engine, &name, &[scenarios::fig1_insert_op(&v1.schema)]).unwrap();
-        engine
-            .migrate_all(&name, &adept_core::MigrationOptions::default(), 1)
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let get = v1.schema.node_by_name("get order").unwrap().id;
+    let collect = v1.schema.node_by_name("collect data").unwrap().id;
+
+    let ids: Vec<_> = (0..12)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    for (k, id) in ids.iter().enumerate() {
+        if k % 4 == 0 {
+            // Bias disjoint from the evolution delta: stays biased,
+            // still migrates.
+            adhoc(
+                &engine,
+                *id,
+                &adept_core::ChangeOp::SerialInsert {
+                    activity: adept_core::NewActivity::named("check customer"),
+                    pred: get,
+                    succ: collect,
+                },
+            )
             .unwrap();
-        for (k, id) in ids.iter().enumerate() {
-            let mut driver = RandomDriver::new(1000 + k as u64);
-            drive_with(engine, *id, &mut driver, Some(200)).unwrap();
         }
-        engine.remove_instance(ids[5]).unwrap();
+        let mut driver = RandomDriver::new(k as u64);
+        drive_with(&engine, *id, &mut driver, Some(1 + k % 3)).unwrap();
     }
+    audit_all("drive");
 
-    let a = serde_json::to_string(&compiled.snapshot()).unwrap();
-    let b = serde_json::to_string(&interp.snapshot()).unwrap();
-    assert_eq!(a, b, "snapshots must be byte-identical across paths");
+    evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1.schema)]).unwrap();
+    engine
+        .migrate_all(&name, &adept_core::MigrationOptions::default(), 1)
+        .unwrap();
+    audit_all("migrate");
 
-    // Worklists agree too (same item set, same order).
-    assert_eq!(
-        format!("{:?}", compiled.worklist_full()),
-        format!("{:?}", interp.worklist_full())
-    );
+    for (k, id) in ids.iter().enumerate() {
+        let mut driver = RandomDriver::new(1000 + k as u64);
+        drive_with(&engine, *id, &mut driver, Some(200)).unwrap();
+    }
+    audit_all("finish");
+    engine.remove_instance(ids[5]).unwrap();
+    audit_all("remove");
 
-    let (on_compiled, on_interp) = compiled.exec_path_counts();
+    let (on_compiled, on_interp) = engine.exec_path_counts();
     assert!(
         on_compiled > 0,
         "unbiased instances must take the compiled path"
@@ -182,30 +183,4 @@ fn engine_lifecycles_match_across_paths() {
         on_interp > 0,
         "biased instances must fall back to the interpreter"
     );
-    let (off_compiled, off_interp) = interp.exec_path_counts();
-    assert_eq!(off_compiled, 0, "disabled engine must never compile");
-    assert!(off_interp > 0);
-}
-
-/// Flipping the path selector mid-stream re-resolves contexts on the
-/// other tier without disturbing instance state.
-#[test]
-fn toggling_compiled_path_is_transparent() {
-    let engine = ProcessEngine::new();
-    let name = engine.deploy(scenarios::order_process()).unwrap();
-    let id = engine.create_instance(&name).unwrap();
-    let mut driver = RandomDriver::new(7);
-    drive_with(&engine, id, &mut driver, Some(2)).unwrap();
-    let (c1, _) = engine.exec_path_counts();
-    assert!(c1 > 0);
-
-    engine.set_compiled_enabled(false);
-    drive_with(&engine, id, &mut driver, Some(2)).unwrap();
-    let (c2, i2) = engine.exec_path_counts();
-    assert_eq!(c2, c1, "no compiled resolutions after the flip");
-    assert!(i2 > 0);
-
-    engine.set_compiled_enabled(true);
-    drive_with(&engine, id, &mut driver, None).unwrap();
-    assert!(engine.is_finished(id).unwrap());
 }
