@@ -531,35 +531,53 @@ impl ProcessEngine {
     /// reconstructs exactly [`ProcessEngine::worklist_full`] (property-
     /// checked in the test suite).
     ///
-    /// The scan is one coherent pass over the index (all shard read
-    /// guards held together); in-flight command installs hold the
-    /// reported epoch back, so their effects land in the *next* delta
-    /// rather than falling into a cursor gap. Instances the index does
-    /// not cover are recomputed on the way, **installed** (stamped with
-    /// the pre-scan epoch, so a racing command's newer install wins) and
-    /// reported — so a miss costs one recompute, not one per poll; an
-    /// instance that cannot be resolved because it vanished is reported
-    /// as invalidated.
+    /// A poll costs O(instances changed + removed since `since`): the
+    /// index keeps its slots in an epoch-ordered log and the scan is a
+    /// range read of it, one coherent pass (all index shard read guards
+    /// held together, for the changed keys only). In-flight command
+    /// installs hold the reported epoch back, so their effects land in
+    /// the *next* delta rather than falling into a cursor gap. Ids the
+    /// scan finds tombstoned are resolved against the store after the
+    /// guards drop: still present means recompute — **installed**
+    /// (stamped with the pre-scan epoch, so a racing command's newer
+    /// install wins) and reported, so a miss costs one recompute, not
+    /// one per poll — and gone means invalidated.
+    ///
+    /// Like [`ProcessEngine::worklist`], a delta with `since > 0` sees
+    /// only mutations the engine made or was told about: an instance
+    /// created or changed **directly through the public `store` field**
+    /// is not reported until [`ProcessEngine::refresh_worklist`] names
+    /// it. Only the `since == 0` bootstrap sweeps the whole store, and
+    /// so also reports instances that never passed through the engine.
     pub fn worklist_delta(&self, since: u64) -> WorklistDelta {
         // Read before the scan: anything a racing writer changes after
         // this point carries a newer epoch and out-prioritises the lazy
         // installs below (the tombstone watermark rejects stale ones).
         let scan_epoch = self.wl_index.current();
-        let ids = self.store.ids();
+        let ids = if since == 0 {
+            self.store.ids()
+        } else {
+            Vec::new()
+        };
         let d = self.wl_index.delta(since, &ids);
         let mut added = d.updated;
-        let mut invalidated = d.invalidated;
-        for id in d.misses {
+        let mut invalidated = Vec::new();
+        for id in d.stale {
+            if self.store.with_instance(id, |_| ()).is_none() {
+                invalidated.push(id);
+                continue;
+            }
             match self.compute_items(id) {
                 Ok(list) => {
                     self.wl_failures.remove(id);
                     added.push((id, list));
                 }
-                // Vanished mid-scan = removed: tell the consumer to drop
-                // it. Still present but unresolvable = offers nothing —
-                // install the empty set so the miss is recomputed once,
-                // not on every poll, and report the failure once (the
-                // same one-shot dedupe the worklist read path uses).
+                // Vanished mid-recompute = removed: tell the consumer to
+                // drop it. Still present but unresolvable = offers
+                // nothing — install the empty set so the miss is
+                // recomputed once, not on every poll, and report the
+                // failure once (the same one-shot dedupe the worklist
+                // read path uses).
                 Err(e) => {
                     if self.store.with_instance(id, |_| ()).is_none() {
                         self.wl_failures.remove(id);
@@ -585,8 +603,6 @@ impl ProcessEngine {
             }
         }
         added.sort_by_key(|(id, _)| id.0);
-        invalidated.sort();
-        invalidated.dedup();
         WorklistDelta {
             added,
             invalidated,

@@ -78,7 +78,10 @@
 //! poll, and a cursor that falls behind the retention window gets an
 //! explicit [`EventLag`] error — never a silent gap. The worklist has
 //! the same shape: [`ProcessEngine::worklist_delta`] returns what
-//! changed since an epoch instead of every item.
+//! changed since an epoch instead of every item. Both polls cost
+//! O(what changed since the last poll), not O(population): the cursor
+//! seeks each sequence-sorted ring, and the worklist index keeps its
+//! entries in an epoch-ordered log.
 //!
 //! ```
 //! use adept_engine::{EngineCommand, ProcessEngine};

@@ -489,10 +489,12 @@ impl EventCursor {
 /// Internally the log is segmented across [`Shards`]: sequence `s` lives
 /// in shard `s & (N-1)`, so consecutive appends round-robin across
 /// independent locks and concurrent recorders don't serialize on one
-/// global `RwLock<Vec>`. Reads merge the shards by sequence, visiting
-/// one shard guard at a time (bounded by the clock value at entry), so
-/// even a whole-log read never holds more than a single recorder's lock
-/// at any moment.
+/// global `RwLock<Vec>`. Each shard's ring is kept sorted by sequence,
+/// even when concurrent recorders push out of order. Reads seek every
+/// ring to the cursor and merge the shards by sequence, visiting one
+/// shard guard at a time (bounded by the clock value at entry), so a
+/// poll costs O(events since the cursor), and even a whole-log read
+/// never holds more than a single recorder's lock at any moment.
 ///
 /// Retention is bounded (default [`DEFAULT_EVENT_RETENTION`]): once a
 /// shard's ring exceeds its share of the cap, the oldest events are
@@ -510,8 +512,10 @@ pub struct Monitor {
     evicted: AtomicU64,
     /// Total retention cap across all shards.
     retention: AtomicUsize,
-    /// Per-shard rings of `(seq, event)`, each sorted by push order
-    /// (sequence ascending within a shard).
+    /// Per-shard rings of `(seq, event)`, each sorted by sequence
+    /// ascending — `push` inserts a late straggler at its place, so
+    /// eviction pops the oldest sequence and a reader seeks its cursor
+    /// instead of filtering the whole ring.
     segments: Shards<VecDeque<(u64, EngineEvent)>>,
 }
 
@@ -549,10 +553,21 @@ impl Monitor {
 
     /// Pushes an already-stamped event into its shard, evicting the
     /// shard's oldest entries over the ring bound.
+    ///
+    /// Sequences are reserved before they are pushed, so concurrent
+    /// recorders can reach one shard out of order. A straggler is
+    /// inserted at its sorted place (rare, and near the tail) rather
+    /// than appended: eviction must pop the shard's *oldest* sequence,
+    /// or the watermark below would jump past events still retained.
     fn push(&self, seq: u64, e: EngineEvent) {
         let cap = self.shard_cap();
         let mut ring = self.segments.for_raw(seq).write();
-        ring.push_back((seq, e));
+        if ring.back().is_some_and(|(last, _)| *last > seq) {
+            let at = ring.partition_point(|(t, _)| *t < seq);
+            ring.insert(at, (seq, e));
+        } else {
+            ring.push_back((seq, e));
+        }
         while ring.len() > cap {
             if let Some((old, _)) = ring.pop_front() {
                 // Watermark = oldest seq that may still be retained.
@@ -618,7 +633,10 @@ impl Monitor {
     ///
     /// The scan holds **one shard guard at a time**: a reader merging a
     /// large window no longer blocks every concurrent recorder for the
-    /// whole pass, only the one shard it is currently copying. The
+    /// whole pass, only the one shard it is currently copying. Each
+    /// ring is sequence-sorted, so the copy seeks to `cursor` and stops
+    /// at the bound — a poll costs O(log retained + events returned),
+    /// not a filter over every retained event. The
     /// batch is sequence-bounded by the clock value read at entry, so
     /// under a constant append load the scan terminates instead of
     /// chasing the tail. Eviction may race the unlocked portions of the
@@ -636,11 +654,8 @@ impl Monitor {
         let mut pending: Vec<(u64, EngineEvent)> = Vec::new();
         for shard in self.segments.iter() {
             let ring = shard.read();
-            pending.extend(
-                ring.iter()
-                    .filter(|(t, _)| *t >= cursor && *t < bound)
-                    .cloned(),
-            );
+            let from = ring.partition_point(|(t, _)| *t < cursor);
+            pending.extend(ring.range(from..).take_while(|(t, _)| *t < bound).cloned());
             // Guard drops here — the next shard is acquired only after
             // this one is released (one shard per table).
         }
@@ -851,6 +866,76 @@ mod tests {
         }
         assert_eq!(m.recorded(), 800);
         assert_eq!(m.events().len(), 800);
+    }
+
+    /// The pre-seek read, as a reference: filter every retained event
+    /// of every ring, sort, keep the contiguous prefix from `cursor`.
+    fn reference_since(m: &Monitor, cursor: u64) -> Result<Vec<u64>, EventLag> {
+        let oldest = m.oldest_retained();
+        if cursor < oldest {
+            return Err(EventLag { oldest });
+        }
+        let bound = m.recorded();
+        let mut all: Vec<u64> = Vec::new();
+        for shard in m.segments.iter() {
+            all.extend(shard.read().iter().map(|(t, _)| *t));
+        }
+        all.retain(|t| *t >= cursor && *t < bound);
+        all.sort_unstable();
+        Ok(all
+            .into_iter()
+            .enumerate()
+            .take_while(|(i, t)| *t == cursor + *i as u64)
+            .map(|(_, t)| t)
+            .collect())
+    }
+
+    #[test]
+    fn out_of_order_pushes_keep_reads_exact_and_the_watermark_honest() {
+        // Concurrent `record_all` blocks reserve contiguous sequences up
+        // front but may push them in any order; model the worst case —
+        // every block lands newest-first — under a 2-per-shard cap.
+        let m = Monitor::new();
+        m.set_retention(32);
+        let n = 200u64;
+        m.clock.store(n, Ordering::SeqCst);
+        let blocks: Vec<Vec<u64>> = (0..n)
+            .collect::<Vec<_>>()
+            .chunks(40)
+            .map(|b| b.iter().rev().copied().collect())
+            .collect();
+        for block in &blocks {
+            for &seq in block {
+                m.push(seq, ev(seq));
+                for c in 0..=n {
+                    let got = m
+                        .events_since(c)
+                        .map(|b| b.events.iter().map(|(t, _)| *t).collect::<Vec<_>>());
+                    assert_eq!(got, reference_since(&m, c), "cursor {c} after push {seq}");
+                }
+            }
+            // Block landed: every reserved sequence below its end is
+            // pushed, so no retained event may sit below the watermark
+            // (an evicted *newer* sequence would have lifted it there).
+            let end = block[0] + 1;
+            let oldest = m.oldest_retained();
+            for shard in m.segments.iter() {
+                let ring = shard.read();
+                assert!(
+                    ring.iter().all(|(t, _)| *t >= oldest),
+                    "watermark {oldest} passed a retained seq"
+                );
+                assert!(ring.iter().zip(ring.iter().skip(1)).all(|(a, b)| a.0 < b.0));
+            }
+            assert_eq!(
+                oldest,
+                end.saturating_sub(32),
+                "the newest 32 stay retained"
+            );
+        }
+        // The final window is the newest 32, contiguous.
+        let seqs: Vec<u64> = m.events().iter().map(|(t, _)| *t).collect();
+        assert_eq!(seqs, (n - 32..n).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -98,14 +98,24 @@ pub(crate) fn items_for(
 /// recompute or command that read the *pre-change* state — its epoch
 /// predates the watermark — cannot resurrect stale items afterwards.
 ///
+/// Entries and tombstones share one **slot** per instance — its latest
+/// install (live items) or invalidation (no items) with that event's
+/// epoch — and every slot is also keyed `(epoch, id)` in an
+/// epoch-ordered **log**. A delta poll is a range scan of that log from
+/// the consumer's `since`, so it costs O(instances changed since the
+/// last poll), not O(population); the two structures move together in
+/// [`WorklistIndex::install_lazy`]/[`WorklistIndex::finish_install`] and
+/// [`WorklistIndex::invalidate`], and a rejected install touches
+/// neither.
+///
 /// Like the store, the index is sharded by [`InstanceId::hash64`]: every
 /// command installs into the index, so one global entry lock would
 /// re-serialise the sharded store's write path. The epoch counter is a
-/// single atomic (cheap, contention-free); only the entry/tombstone maps
-/// are sharded. [`WorklistIndex::collect`] briefly holds **all** shard
-/// read locks at once to serve one coherent pass over the population —
-/// readers don't block each other, and writers (one shard write each)
-/// never hold a second index shard, so the order is acyclic.
+/// single atomic (cheap, contention-free); only the slot maps and logs
+/// are sharded. [`WorklistIndex::collect`] and [`WorklistIndex::delta`]
+/// briefly hold **all** shard read locks at once to serve one coherent
+/// pass — readers don't block each other, and writers (one shard write
+/// each) never hold a second index shard, so the order is acyclic.
 #[derive(Debug)]
 pub(crate) struct WorklistIndex {
     epoch: AtomicU64,
@@ -144,27 +154,28 @@ pub struct WorklistDelta {
     pub epoch: u64,
 }
 
-/// Raw index-side delta: entries/tombstones past `since`, plus the ids
-/// that need a read-side recompute before the delta is complete.
+/// Raw index-side delta: live slots past `since`, plus the ids the
+/// caller must resolve against the store before the delta is complete.
 #[derive(Debug, Default)]
 pub(crate) struct IndexDelta {
     /// Epoch the scan is complete through (min pending install − 1).
     pub epoch: u64,
-    /// Live entries installed after `since` (full item sets).
+    /// Live slots installed after `since` (full item sets), by id.
     pub updated: Vec<(InstanceId, Vec<WorkItem>)>,
-    /// Ids tombstoned after `since` that are no longer in the store.
-    pub invalidated: Vec<InstanceId>,
-    /// Store ids with no live entry — recompute these.
-    pub misses: Vec<InstanceId>,
+    /// Ids tombstoned after `since` (plus, on the bootstrap scan, the
+    /// swept store ids the index has no slot for), by id. Still in the
+    /// store = recompute; gone = invalidated.
+    pub stale: Vec<InstanceId>,
 }
 
 #[derive(Debug, Default)]
 struct IndexState {
-    entries: BTreeMap<InstanceId, IndexEntry>,
-    /// Invalidation watermarks: installs stamped with an epoch at or
-    /// below the watermark are rejected (their items predate the change
-    /// that invalidated the entry). Cleared by the next accepted install.
-    tombstones: BTreeMap<InstanceId, u64>,
+    /// The latest install or invalidation of every instance this shard
+    /// has seen.
+    slots: BTreeMap<InstanceId, Slot>,
+    /// `(slot epoch, id)` for exactly the slots above — the epoch-ordered
+    /// log a delta poll range-scans.
+    log: BTreeSet<(u64, InstanceId)>,
     /// Epochs drawn by [`WorklistIndex::begin_install`] whose install
     /// has not landed yet. A delta scan must not report completeness
     /// past the lowest pending epoch, or the in-flight install would be
@@ -172,10 +183,27 @@ struct IndexState {
     pending: BTreeSet<u64>,
 }
 
+/// One instance's index slot. `items: None` is a **tombstone**: the
+/// entry was invalidated at `epoch` and is recomputed on the next read.
+/// Either way an install stamped below `epoch` is rejected — below a
+/// live slot it is older than the installed items, below a tombstone it
+/// was computed from pre-invalidation state. Tombstones of removed
+/// instances stay behind (see [`WorklistIndex::invalidate`]).
 #[derive(Debug)]
-struct IndexEntry {
+struct Slot {
     epoch: u64,
-    items: Vec<WorkItem>,
+    items: Option<Vec<WorkItem>>,
+}
+
+impl IndexState {
+    /// Replaces `id`'s slot, moving its log key with it.
+    fn put(&mut self, id: InstanceId, slot: Slot) {
+        let epoch = slot.epoch;
+        if let Some(old) = self.slots.insert(id, slot) {
+            self.log.remove(&(old.epoch, id));
+        }
+        self.log.insert((epoch, id));
+    }
 }
 
 impl WorklistIndex {
@@ -243,19 +271,20 @@ impl WorklistIndex {
     }
 
     fn install_locked(state: &mut IndexState, id: InstanceId, epoch: u64, items: Vec<WorkItem>) {
-        // Strictly below the watermark = computed from pre-invalidation
-        // state. An epoch equal to the watermark is fine: it was observed
-        // after the invalidation bump, hence after the change installed.
-        if state.tombstones.get(&id).is_some_and(|w| *w > epoch) {
+        // Strictly below the slot = older than the live items, or
+        // computed from pre-invalidation state. An epoch equal to a
+        // tombstone is fine: it was observed after the invalidation bump,
+        // hence after the change installed.
+        if state.slots.get(&id).is_some_and(|s| s.epoch > epoch) {
             return;
         }
-        match state.entries.get(&id) {
-            Some(e) if e.epoch > epoch => {}
-            _ => {
-                state.tombstones.remove(&id);
-                state.entries.insert(id, IndexEntry { epoch, items });
-            }
-        }
+        state.put(
+            id,
+            Slot {
+                epoch,
+                items: Some(items),
+            },
+        );
     }
 
     /// Drops an instance's entry and leaves a watermark so concurrent
@@ -269,14 +298,19 @@ impl WorklistIndex {
     /// This is also the **removal** path: a removed instance's watermark
     /// must stay behind, or an in-flight recompute that read the instance
     /// before the removal could re-install an entry that nothing would
-    /// ever clear again (the id no longer appears in `store.ids()`, so no
-    /// later invalidation fires). The watermark is a few bytes per
-    /// removed id; a resurrected entry would hold a whole item vector.
+    /// ever clear again (no later invalidation fires for a removed id).
+    /// The watermark is a few bytes per removed id; a resurrected entry
+    /// would hold a whole item vector.
     pub fn invalidate(&self, id: InstanceId) {
         let mut state = self.shard(id).write();
         let watermark = self.bump();
-        state.entries.remove(&id);
-        state.tombstones.insert(id, watermark);
+        state.put(
+            id,
+            Slot {
+                epoch: watermark,
+                items: None,
+            },
+        );
     }
 
     /// The indexed items of an instance, if the entry is live.
@@ -284,9 +318,9 @@ impl WorklistIndex {
     pub fn get(&self, id: InstanceId) -> Option<Vec<WorkItem>> {
         self.shard(id)
             .read()
-            .entries
+            .slots
             .get(&id)
-            .map(|e| e.items.clone())
+            .and_then(|s| s.items.clone())
     }
 
     /// Collects the items of every indexed id into `out` and the ids
@@ -301,16 +335,17 @@ impl WorklistIndex {
     ) {
         let guards = self.shards.read_all();
         for id in ids {
-            match guards[self.shards.index_of(*id)].entries.get(id) {
-                Some(e) => out.extend(e.items.iter().cloned()),
+            let slot = guards[self.shards.index_of(*id)].slots.get(id);
+            match slot.and_then(|s| s.items.as_ref()) {
+                Some(items) => out.extend(items.iter().cloned()),
                 None => misses.push(*id),
             }
         }
     }
 
-    /// One coherent delta scan: everything that changed after `since`,
-    /// plus the store ids (`ids`) that currently have no live entry and
-    /// therefore need a read-side recompute before the delta is served.
+    /// One coherent delta scan: every slot that changed after `since` —
+    /// a range scan of each shard's epoch-ordered log, O(changed) — plus,
+    /// for the bootstrap, the swept store `ids` the index has no slot for.
     ///
     /// All shard read guards are held together, which blocks every
     /// epoch draw ([`WorklistIndex::begin_install`] and
@@ -320,8 +355,14 @@ impl WorklistIndex {
     /// aren't visible yet; the next poll picks them up), otherwise the
     /// frozen counter value.
     ///
-    /// `since == 0` is the bootstrap scan: *every* live entry is
-    /// reported, including epoch-0 entries a restored engine stamps.
+    /// `since == 0` is the bootstrap scan: *every* slot is reported,
+    /// including epoch-0 entries a restored engine stamps, and `ids`
+    /// (the store sweep; pass it empty otherwise) is probed for
+    /// instances that never passed through the engine. Tombstones come
+    /// back as `stale` for the caller to resolve against the store
+    /// **after** this returns — store shard → index shard is the
+    /// documented lock order, so the store must not be read under the
+    /// guards held here.
     pub fn delta(&self, since: u64, ids: &[InstanceId]) -> IndexDelta {
         let guards = self.shards.read_all();
         let epoch_now = self.current();
@@ -337,34 +378,47 @@ impl WorklistIndex {
             epoch,
             ..IndexDelta::default()
         };
-        let live: BTreeSet<InstanceId> = ids.iter().copied().collect();
+        let lo = if since == 0 {
+            0
+        } else {
+            since.saturating_add(1)
+        };
         for g in &guards {
-            for (id, e) in &g.entries {
-                if since == 0 || e.epoch > since {
-                    out.updated.push((*id, e.items.clone()));
-                }
-            }
-            for (id, w) in &g.tombstones {
-                if *w > since && !live.contains(id) {
-                    out.invalidated.push(*id);
+            for (_, id) in g.log.range((lo, InstanceId(0))..) {
+                match g.slots.get(id).and_then(|s| s.items.as_ref()) {
+                    Some(items) => out.updated.push((*id, items.clone())),
+                    None => out.stale.push(*id),
                 }
             }
         }
         for id in ids {
-            if !guards[self.shards.index_of(*id)].entries.contains_key(id) {
-                out.misses.push(*id);
+            if !guards[self.shards.index_of(*id)].slots.contains_key(id) {
+                out.stale.push(*id);
             }
         }
         drop(guards);
         out.updated.sort_by_key(|(id, _)| *id);
-        out.invalidated.sort();
+        out.stale.sort();
         out
     }
 
     /// Number of live entries (diagnostics).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().entries.len()).sum()
+        let live = |s: &IndexState| s.slots.values().filter(|s| s.items.is_some()).count();
+        self.shards.iter().map(|s| live(&s.read())).sum()
+    }
+
+    /// Asserts the slot/log invariant: every shard's log holds exactly
+    /// one `(epoch, id)` key per slot, matching the slot's epoch.
+    #[cfg(test)]
+    fn assert_log_matches_slots(&self) {
+        for shard in self.shards.iter() {
+            let s = shard.read();
+            let expected: BTreeSet<(u64, InstanceId)> =
+                s.slots.iter().map(|(id, slot)| (slot.epoch, *id)).collect();
+            assert_eq!(s.log, expected, "log keys diverged from the slots");
+        }
     }
 }
 
@@ -437,27 +491,101 @@ mod tests {
         let b = InstanceId(2);
         let e = idx.begin_install(a);
         idx.finish_install(a, e, vec![item(None)]);
-        // Bootstrap scan (since 0) returns all entries; b has no entry.
+        // Bootstrap scan (since 0) returns all entries; the swept store
+        // id b has no slot, so it comes back for a recompute.
         let d0 = idx.delta(0, &[a, b]);
         assert_eq!(d0.updated.len(), 1);
         assert_eq!(d0.updated[0].0, a);
-        assert_eq!(d0.misses, vec![b]);
-        assert!(d0.invalidated.is_empty());
+        assert_eq!(d0.stale, vec![b]);
         assert_eq!(d0.epoch, e);
-        // Nothing since d0.epoch.
-        let d1 = idx.delta(d0.epoch, &[a, b]);
+        // Nothing since d0.epoch — and later polls do not sweep the
+        // store, so the unindexed b is not re-reported.
+        let d1 = idx.delta(d0.epoch, &[]);
         assert!(d1.updated.is_empty());
-        // Invalidate a (instance removed: not in ids any more).
+        assert!(d1.stale.is_empty());
+        // A tombstone (removal or change) comes back for the caller to
+        // resolve against the store: gone = invalidated, present = miss.
         idx.invalidate(a);
-        let d2 = idx.delta(d1.epoch, &[b]);
-        assert_eq!(d2.invalidated, vec![a]);
+        let d2 = idx.delta(d1.epoch, &[]);
+        assert_eq!(d2.stale, vec![a]);
         assert!(d2.updated.is_empty());
-        // A tombstoned id still in the store is reported as a miss
-        // (recompute), not as invalidated.
         idx.invalidate(b);
-        let d3 = idx.delta(d2.epoch, &[b]);
-        assert!(d3.invalidated.is_empty());
-        assert_eq!(d3.misses, vec![b]);
+        let d3 = idx.delta(d2.epoch, &[]);
+        assert!(d3.updated.is_empty());
+        assert_eq!(d3.stale, vec![b]);
+    }
+
+    #[test]
+    fn log_holds_exactly_one_key_per_slot() {
+        let idx = WorklistIndex::default();
+        let a = InstanceId(1);
+        let b = InstanceId(2);
+        let e1 = idx.begin_install(a);
+        idx.finish_install(a, e1, vec![item(None)]);
+        idx.assert_log_matches_slots();
+        // Re-install moves a's key instead of adding a second one.
+        let e2 = idx.begin_install(a);
+        idx.finish_install(a, e2, vec![]);
+        idx.assert_log_matches_slots();
+        // Invalidate → install moves it twice.
+        idx.invalidate(a);
+        idx.assert_log_matches_slots();
+        idx.install_lazy(a, idx.current(), vec![item(None)]);
+        idx.assert_log_matches_slots();
+        // A rejected install (stale stamp, below the slot) touches
+        // nothing: the key stays at the live slot's epoch.
+        let before = idx.delta(0, &[]).updated;
+        idx.install_lazy(a, e1, vec![]);
+        idx.assert_log_matches_slots();
+        assert_eq!(idx.delta(0, &[]).updated, before);
+        // A rejected install below a tombstone leaves the tombstone.
+        let stale = idx.current();
+        idx.invalidate(b);
+        idx.install_lazy(b, stale, vec![item(None)]);
+        idx.assert_log_matches_slots();
+        assert!(idx.get(b).is_none());
+        let total: usize = idx.shards.iter().map(|s| s.read().log.len()).sum();
+        assert_eq!(total, 2, "one key per slot, none stale");
+    }
+
+    #[test]
+    fn same_stamp_lazy_installs_on_different_ids_are_both_reported() {
+        let idx = WorklistIndex::default();
+        let (a, b, x) = (InstanceId(1), InstanceId(2), InstanceId(9));
+        let e = idx.begin_install(x);
+        idx.finish_install(x, e, vec![item(None)]);
+        let since = idx.delta(0, &[]).epoch;
+        idx.invalidate(a);
+        idx.invalidate(b);
+        // Two readers that observed the same epoch recompute a and b:
+        // equal stamps, distinct log keys.
+        let stamp = idx.current();
+        idx.install_lazy(a, stamp, vec![item(None)]);
+        idx.install_lazy(b, stamp, vec![item(Some("clerk"))]);
+        idx.assert_log_matches_slots();
+        let d = idx.delta(since, &[]);
+        let ids: Vec<InstanceId> = d.updated.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![a, b]);
+        assert!(d.stale.is_empty());
+        // The bootstrap reports every slot.
+        assert_eq!(idx.delta(0, &[]).updated.len(), 3);
+    }
+
+    #[test]
+    fn tombstone_then_removal_is_reported_once() {
+        let idx = WorklistIndex::default();
+        let a = InstanceId(1);
+        let e = idx.begin_install(a);
+        idx.finish_install(a, e, vec![item(None)]);
+        let since = idx.delta(0, &[]).epoch;
+        // A change invalidates a, then the removal invalidates it again.
+        idx.invalidate(a);
+        idx.invalidate(a);
+        idx.assert_log_matches_slots();
+        let d = idx.delta(since, &[]);
+        assert_eq!(d.stale, vec![a], "one slot, one report");
+        assert!(d.updated.is_empty());
+        assert!(idx.delta(d.epoch, &[]).stale.is_empty());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   property-checked over generated simgen lifecycles;
 //! * threaded stress — 4 writers mutating instances while 2 cursor
 //!   readers stream deltas: the final reconstruction loses no item and
-//!   resurrects none (removed instances stay gone).
+//!   resurrects none (removed instances stay gone);
+//! * contract — a `since > 0` poll sees a direct `store` write only
+//!   after `refresh_worklist`; the `since == 0` bootstrap sweeps it in.
 
 use adept_engine::{ProcessEngine, WorkItem};
 use adept_model::InstanceId;
@@ -146,10 +148,66 @@ fn unresolvable_miss_is_recomputed_once_not_every_poll() {
     assert_eq!(failures, 1, "the failure reaches the monitor exactly once");
 }
 
-/// 4 writers (create/drive/remove on disjoint instance pools) + 2 cursor
-/// readers polling concurrently. After the writers join, one final poll
-/// per reader must reconstruct exactly the full recompute: no lost
-/// items, no resurrected (removed) instances.
+/// A poll past the bootstrap sees only mutations the engine made or was
+/// told about: an instance written straight into the public `store`
+/// after the bootstrap stays invisible to `since > 0` deltas until
+/// `refresh_worklist` names it — then it is reported exactly once (with
+/// one resolution-failure event, as the ghost's type is unknown) — while
+/// a fresh `since == 0` bootstrap, which sweeps the store, reports it.
+#[test]
+fn direct_store_writes_surface_after_refresh_or_in_a_bootstrap() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    engine.create_instance(&name).unwrap();
+    let d0 = engine.worklist_delta(0);
+
+    let dep = engine.repo.deployed(&name, 1).unwrap();
+    let ghost = engine
+        .store
+        .create("ghost type", 1, dep.execution().init().unwrap());
+    let before = engine.monitor.len();
+
+    let d1 = engine.worklist_delta(d0.epoch);
+    assert!(
+        d1.added.iter().all(|(id, _)| *id != ghost) && !d1.invalidated.contains(&ghost),
+        "a direct store write is not engine-visible until refreshed"
+    );
+
+    engine.refresh_worklist(ghost);
+    let d2 = engine.worklist_delta(d1.epoch);
+    assert_eq!(d2.added, vec![(ghost, Vec::new())], "reported once");
+    assert!(d2.invalidated.is_empty());
+    let d3 = engine.worklist_delta(d2.epoch);
+    assert!(
+        d3.added.is_empty() && d3.invalidated.is_empty(),
+        "not twice"
+    );
+
+    let failures = engine.monitor.events()[before..]
+        .iter()
+        .filter(|(_, e)| {
+            matches!(
+                e,
+                adept_engine::EngineEvent::WorklistResolutionFailed { instance, .. }
+                    if *instance == ghost
+            )
+        })
+        .count();
+    assert_eq!(failures, 1);
+
+    // A second ghost, never refreshed: only the bootstrap sweep finds it.
+    let unseen = engine
+        .store
+        .create("ghost type", 1, dep.execution().init().unwrap());
+    let fresh = engine.worklist_delta(0);
+    assert!(fresh.added.iter().any(|(id, _)| *id == unseen));
+    assert!(fresh.added.iter().any(|(id, _)| *id == ghost));
+}
+
+/// 4 writers (create/drive/refresh/remove on disjoint instance pools) +
+/// 2 cursor readers polling concurrently. After the writers join, one
+/// final poll per reader must reconstruct exactly the full recompute: no
+/// lost items, no resurrected (removed) instances.
 #[test]
 fn threaded_writers_and_cursor_readers_converge() {
     let engine = ProcessEngine::new();
@@ -171,6 +229,11 @@ fn threaded_writers_and_cursor_readers_converge() {
                         let steps = rng.gen_range(0..4);
                         let mut driver = RandomDriver::new(w << 32 | round);
                         let _ = drive_with(engine, id, &mut driver, Some(steps));
+                        // Tombstone an older instance: readers resolve it
+                        // against the store while writers keep going.
+                        if round % 3 == 1 {
+                            engine.refresh_worklist(mine[rng.gen_range(0..mine.len())]);
+                        }
                         // Periodically remove an older instance: readers
                         // must never resurrect it.
                         if round % 5 == 4 {
