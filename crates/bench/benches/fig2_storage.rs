@@ -52,7 +52,7 @@ fn setup(
                 bias,
                 &materialized,
                 st.clone(),
-                |_| Ok::<_, ()>(()),
+                |_| Ok::<_, ()>(0),
             )
             .unwrap();
         assert!(installed);
@@ -129,7 +129,7 @@ fn bench_fig2(c: &mut Criterion) {
                         bias,
                         &materialized,
                         st.clone(),
-                        |_| Ok::<_, ()>(()),
+                        |_| Ok::<_, ()>(0),
                     )
                     .unwrap();
                 assert!(installed);

@@ -1,6 +1,7 @@
 //! Durability costs: `wal_append` — what one journaled mutation adds on
-//! each backend and fsync policy — and `recovery_replay` — rebuilding an
-//! engine from a WAL of N records.
+//! each backend and fsync policy, and what one command costs as its
+//! instance ages (`step_at_history/<k>`) — and `recovery_replay` —
+//! rebuilding an engine from a WAL of N records.
 //!
 //! The interesting comparisons: memory vs. file backend (the encode +
 //! write cost without/with the filesystem), `SyncPolicy::Never` vs.
@@ -13,7 +14,8 @@
 //! near-parity there — the segmented spread materialises on multi-core
 //! hosts (same caveat as `store_throughput`).
 
-use adept_engine::{recovery, ProcessEngine};
+use adept_engine::{recovery, EngineCommand, ProcessEngine};
+use adept_model::{ProcessSchema, SchemaBuilder};
 use adept_simgen::scenarios;
 use adept_storage::{FileBackend, MemoryBackend, StorageBackend, SyncPolicy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -28,9 +30,26 @@ fn temp_wal_path() -> PathBuf {
 }
 
 fn durable_engine(backend: Box<dyn StorageBackend>) -> (ProcessEngine, String) {
+    durable_engine_on(backend, scenarios::order_process())
+}
+
+fn durable_engine_on(
+    backend: Box<dyn StorageBackend>,
+    schema: ProcessSchema,
+) -> (ProcessEngine, String) {
     let engine = ProcessEngine::with_wal(backend).unwrap();
-    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let name = engine.deploy(schema).unwrap();
     (engine, name)
+}
+
+/// A sequence long enough to record `k` history events and still have
+/// an activity left to step.
+fn chain(k: usize) -> ProcessSchema {
+    let mut b = SchemaBuilder::new("chain");
+    for i in 0..k / 2 + 2 {
+        b.activity(&format!("step {i}"));
+    }
+    b.build().unwrap()
 }
 
 /// One journaled mutation (instance creation: id allocation + WAL append
@@ -50,6 +69,40 @@ fn bench_wal_append(c: &mut Criterion) {
         let (engine, name) = durable_engine(Box::new(MemoryBackend::new()));
         b.iter(|| black_box(engine.create_instance(&name).unwrap()))
     });
+
+    // One command on an instance whose history already holds k events:
+    // commands journal what they changed, so the cost stays flat in k.
+    // Iterations alternate `Start` and `FailActivity` on the next
+    // activity, which keeps the history at k (a failure withdraws the
+    // start); both are one journaled record.
+    for k in [8usize, 32, 128] {
+        group.bench_with_input(BenchmarkId::new("step_at_history", k), &k, |b, &k| {
+            let (engine, name) = durable_engine_on(Box::new(MemoryBackend::new()), chain(k));
+            let id = engine.create_instance(&name).unwrap();
+            // Each driven activity records a start and a completion.
+            let out = engine
+                .submit(EngineCommand::Drive {
+                    instance: id,
+                    max: Some(k / 2),
+                })
+                .unwrap();
+            let node = out.enabled[0];
+            let mut running = false;
+            b.iter(|| {
+                let cmd = if running {
+                    EngineCommand::FailActivity {
+                        instance: id,
+                        node,
+                        reason: "bench".into(),
+                    }
+                } else {
+                    EngineCommand::Start { instance: id, node }
+                };
+                running = !running;
+                black_box(engine.submit(cmd).unwrap())
+            })
+        });
+    }
 
     for (tag, policy) in [
         ("file_sync_never", SyncPolicy::Never),
@@ -104,7 +157,7 @@ fn bench_wal_append_threads(c: &mut Criterion) {
 }
 
 /// Rebuilding an engine by replaying a WAL of ~N records (creations +
-/// driven execution post-images), on both backends.
+/// driven execution deltas), on both backends.
 fn bench_recovery_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("recovery_replay");
     group.sample_size(10);

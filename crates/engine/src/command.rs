@@ -28,7 +28,7 @@ use adept_core::{ChangeError, Delta};
 use adept_model::{Blocks, CompiledSchema, DataId, InstanceId, NodeId, ProcessSchema, Value};
 use adept_state::{
     enabled_diff, CompiledExecution, DefaultDriver, Driver, Execution, InstanceState, RunEvent,
-    RuntimeError,
+    RuntimeError, StateDelta, StateMark,
 };
 use adept_storage::{StorageError, StoredInstance, WalRecord};
 use std::fmt;
@@ -390,8 +390,8 @@ impl<'a> ExecRef<'a> {
 enum GroupApply {
     /// The context no longer matches the instance; rebuild and retry.
     Stale,
-    /// The group mutated state but its post-image could not be journaled;
-    /// the mutation was rolled back and nothing is visible.
+    /// The group mutated state but its delta could not be journaled; the
+    /// mutation was rolled back and nothing is visible.
     Journal(StorageError),
     /// The group was applied; per-command results plus the post-group
     /// worklist snapshot (install epoch drawn under the lock).
@@ -523,24 +523,29 @@ impl ProcessEngine {
         let st = ex.init()?;
         let enabled = ex.enabled(&st);
         let finished = ex.is_finished(&st);
-        // The id is allocated and journaled BEFORE the instance becomes
-        // visible (write-ahead); a crash between journal and insert
-        // replays as a fresh, untouched instance — indistinguishable from
-        // a crash just after the insert.
+        // The id is allocated first and journaled under the shard lock
+        // BEFORE the instance becomes visible (write-ahead); a crash
+        // between journal and insert replays as a fresh, untouched
+        // instance — indistinguishable from a crash just after the insert.
         let id = self.store.allocate_id();
-        self.journal(|| WalRecord::Created {
-            id,
-            type_name: type_name.to_string(),
-            version,
-            state: st.clone(),
-        })?;
         let items = items_for(&dep.schema, &enabled, id, type_name, version);
-        // The epoch is drawn BEFORE the instance becomes visible: any
-        // concurrent command on the new id necessarily runs after
-        // insert_new and therefore draws a larger epoch — its fresher
-        // install beats this initial one, never the reverse.
-        let epoch = self.wl_index.begin_install(id);
-        self.store.insert_new(id, type_name, version, st);
+        // The epoch is drawn BEFORE the instance becomes visible (and
+        // only once it is journaled, so a failed journal leaves no
+        // pending install): any concurrent command on the new id
+        // necessarily runs after the insert and therefore draws a larger
+        // epoch — its fresher install beats this initial one, never the
+        // reverse.
+        let mut epoch = 0;
+        self.store.insert_new(id, type_name, version, st, |inst| {
+            let seq = self.journal(|| WalRecord::Created {
+                id,
+                type_name: inst.type_name.clone(),
+                version,
+                state: inst.state.clone(),
+            })?;
+            epoch = self.wl_index.begin_install(id);
+            Ok::<_, StorageError>(seq)
+        })?;
         self.wl_index.finish_install(id, epoch, items);
         let events = vec![EngineEvent::InstanceCreated {
             instance: id,
@@ -605,21 +610,28 @@ impl ProcessEngine {
             let wal = self.txn_log.wal();
             let applied = self.store.update(id, |inst| {
                 if !ctx.matches(inst) {
-                    return GroupApply::Stale;
+                    return (GroupApply::Stale, 0);
                 }
                 let ex = ctx.exec();
                 self.note_path(ex.is_compiled());
                 let mut was_finished = ex.is_finished(&inst.state);
-                // The pre-image is kept only when the journal can actually
-                // fail — the rollback that keeps an unjournaled mutation
-                // from ever becoming visible.
-                let pre = wal.fallible().then(|| inst.state.clone());
+                // A durable engine marks the pre-group state: its marking
+                // and the history and write-log lengths, never the history
+                // itself. The mark becomes the group's journaled delta, and
+                // rolls the group back should the append fail, so an
+                // unjournaled mutation never becomes visible.
+                let mut mark = wal.enabled().then(|| StateMark::of(&inst.state));
                 // The post-command enabled set of command k is the
                 // pre-command set of k+1 — scanned once, not twice.
                 let mut carry_enabled = None;
                 let results: Vec<Result<CommandOutcome, EngineError>> = cmds
                     .iter()
                     .map(|cmd| {
+                        if let (Some(mark), EngineCommand::FailActivity { node, .. }) =
+                            (mark.as_mut(), cmd)
+                        {
+                            mark.before_fail(&inst.state, *node);
+                        }
                         apply_cmd(
                             &ex,
                             inst,
@@ -630,17 +642,19 @@ impl ProcessEngine {
                         )
                     })
                     .collect();
-                // One post-image per mutating group, appended while the
-                // shard lock is held so WAL order equals visibility order.
-                if wal.enabled() && results.iter().any(|r| r.is_ok()) {
-                    if let Err(e) = wal.append(WalRecord::StateChanged {
-                        id,
-                        state: inst.state.clone(),
-                    }) {
-                        if let Some(pre) = pre {
-                            inst.state = pre;
+                // One delta per mutating group, appended while the shard
+                // lock is held so WAL order equals visibility order.
+                let mut seq = 0;
+                if let Some(mark) = mark {
+                    if results.iter().any(|r| r.is_ok()) {
+                        let delta = mark.delta(&inst.state);
+                        match wal.append(WalRecord::CommandApplied { id, delta }) {
+                            Ok(s) => seq = s,
+                            Err(e) => {
+                                mark.restore(&mut inst.state);
+                                return (GroupApply::Journal(e), 0);
+                            }
                         }
-                        return GroupApply::Journal(e);
                     }
                 }
                 // The install epoch is drawn while the store lock is held,
@@ -651,11 +665,12 @@ impl ProcessEngine {
                 // The last command's carried enabled set IS the post-group
                 // set — no extra marking scan for the worklist install.
                 let enabled = carry_enabled.unwrap_or_else(|| ex.enabled(&inst.state));
-                GroupApply::Applied {
+                let applied = GroupApply::Applied {
                     results,
                     epoch: self.wl_index.begin_install(id),
                     items: items_for(ex.schema(), &enabled, id, &inst.type_name, inst.version),
-                }
+                };
+                (applied, seq)
             });
             match applied {
                 None => {
@@ -751,26 +766,30 @@ impl ProcessEngine {
                 events.push(EngineEvent::InstanceFinished { instance: id });
             }
             let wal = self.txn_log.wal();
+            // The drive's delta is built outside the lock, from the
+            // pre-drive state it already cloned.
+            let delta = (wal.enabled() && st != pre).then(|| StateDelta::since(&pre, &st));
             let installed = self.store.update(id, |inst| {
                 if !ctx.matches(inst) || inst.state != pre {
-                    return None;
+                    return (None, 0);
                 }
-                // Write-ahead: the driven post-image is journaled before
-                // it replaces the visible state, so a journal failure
-                // leaves the instance exactly at `pre` — no rollback.
-                if wal.enabled() && st != pre {
-                    if let Err(e) = wal.append(WalRecord::StateChanged {
-                        id,
-                        state: st.clone(),
-                    }) {
-                        return Some(Err(e));
+                // Write-ahead: the drive's delta is journaled before the
+                // driven state replaces the visible one, so a journal
+                // failure leaves the instance exactly at `pre` — no
+                // rollback.
+                let mut seq = 0;
+                if let Some(delta) = delta {
+                    match wal.append(WalRecord::CommandApplied { id, delta }) {
+                        Ok(s) => seq = s,
+                        Err(e) => return (Some(Err(e)), 0),
                     }
                 }
                 inst.state = st;
-                Some(Ok((
+                let install = (
                     self.wl_index.begin_install(id),
                     items_for(ex.schema(), &after, id, &inst.type_name, inst.version),
-                )))
+                );
+                (Some(Ok(install)), seq)
             });
             match installed {
                 None => return Err(EngineError::NotFound(format!("{id}"))),

@@ -173,15 +173,15 @@ impl ProcessEngine {
         self.txn_log.wal()
     }
 
-    /// Appends one record to the write-ahead log; a cheap no-op when the
-    /// engine is not durable (the record is only *built* when a backend
-    /// is attached).
-    pub(crate) fn journal(&self, build: impl FnOnce() -> WalRecord) -> Result<(), StorageError> {
+    /// Appends one record to the write-ahead log, returning its sequence;
+    /// a cheap no-op returning 0 when the engine is not durable (the
+    /// record is only *built* when a backend is attached).
+    pub(crate) fn journal(&self, build: impl FnOnce() -> WalRecord) -> Result<u64, StorageError> {
         let wal = self.txn_log.wal();
         if wal.enabled() {
-            wal.append(build()).map(|_| ())
+            wal.append(build())
         } else {
-            Ok(())
+            Ok(0)
         }
     }
 
@@ -203,12 +203,14 @@ impl ProcessEngine {
     ///
     /// The watermark is the WAL's **durable** position — the highest
     /// sequence every predecessor of which was successfully appended —
-    /// read **before** the store state is composed: replaying WAL entries
-    /// past the watermark is idempotent (they carry full post-images), so
-    /// a mutation landing between the two reads is covered either by the
-    /// snapshot or by replay — never lost. Reading the raw allocator
-    /// position instead could claim coverage of sequences still in
-    /// flight (or about to fail). As with the store scan itself, a
+    /// read **before** the store state is composed, so a mutation landing
+    /// between the two reads can be in the snapshot although it lies past
+    /// the watermark. The store's per-shard journal stamps, read under
+    /// the same guard as each shard's instances, say exactly which:
+    /// recovery skips the records they cover and replays the rest, so
+    /// every delta applies once — never lost, never twice. Reading the
+    /// raw allocator position instead could claim coverage of sequences
+    /// still in flight (or about to fail). As with the store scan itself, a
     /// point-in-time snapshot of a live engine requires quiescence;
     /// snapshot-under-traffic is best-effort, and a checkpoint that
     /// *truncates* the WAL ([`ProcessEngine::checkpoint_with`]) must be
@@ -300,6 +302,7 @@ impl ProcessEngine {
     pub fn deploy(&self, schema: ProcessSchema) -> Result<String, EngineError> {
         let name = self.repo.deploy_journaled(schema, |s| {
             self.journal(|| WalRecord::Deployed { schema: s.clone() })
+                .map(|_| ())
         })?;
         self.monitor.record(EngineEvent::Deployed {
             type_name: name.clone(),
@@ -638,16 +641,12 @@ impl ProcessEngine {
     /// that loses the instance to this call reports it as
     /// [`ConflictKind::Vanished`], not as a conflict.
     pub fn remove_instance(&self, id: InstanceId) -> Result<StoredInstance, EngineError> {
-        // Write-ahead: journal the removal before it happens. A racing
-        // second removal can leave a duplicate or dangling Removed record
-        // in the log; replay treats Removed leniently, so that is
-        // harmless — the losing caller still gets NotFound below.
-        if self.store.with_instance(id, |_| ()).is_some() {
-            self.journal(|| WalRecord::Removed { id })?;
-        }
+        // Write-ahead: the removal is journaled under the shard lock,
+        // before it happens; a racing second removal finds nothing to
+        // journal and gets NotFound.
         let inst = self
             .store
-            .remove(id)
+            .remove(id, |_| self.journal(|| WalRecord::Removed { id }))?
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
         self.ctx_cache.remove(id);
         // invalidate (not a bare entry drop): the tombstone watermark
@@ -765,7 +764,10 @@ impl ProcessEngine {
                         txn,
                     )
                 })
-                .map(|s| seq = s)
+                .map(|appended| {
+                    seq = appended.txn_seq;
+                    appended.wal_seq
+                })
             },
         )?;
         if !installed {

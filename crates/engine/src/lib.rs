@@ -176,6 +176,19 @@
 //! [`ProcessEngine::checkpoint_with`] persists a snapshot and truncates
 //! the log only once the snapshot is safe.
 //!
+//! A submitted command group journals one **delta**: the history events
+//! and data writes it appended (after a cut point, since failing an
+//! activity withdraws an earlier `Started` event) and the marking entries
+//! it changed — not the instance's whole state, so a record costs what
+//! the command did, however old the instance. The group marks the
+//! pre-command marking and lengths (`adept_state::StateMark`), which
+//! also rolls it back if the append fails. Replay applies a delta only
+//! when the instance's history and write-log lengths match its prior
+//! ones, and applies it once: each instance record is journaled under
+//! its store shard's write lock, which stamps the shard, and a snapshot
+//! persists the stamps it read with each shard, so recovery skips exactly
+//! the records a snapshot already holds.
+//!
 //! Under concurrent load the journal itself can be **segmented**
 //! ([`ProcessEngine::with_segmented_wal`]): sequence `s` lands on
 //! backend `(s − 1) mod N`, so appends from different store shards hit

@@ -2,15 +2,28 @@
 //! write-ahead-log tail.
 //!
 //! A durable engine ([`ProcessEngine::with_wal`]) journals every
-//! committed mutation as a full post-image *before* it becomes visible.
-//! Recovery inverts that: [`recover_from`] restores the latest snapshot
-//! (or starts from an empty world), then replays every WAL entry past
-//! the snapshot's watermark through the same storage substrate the live
-//! engine writes through. Because the records carry post-images, replay
-//! is **idempotent** — an entry whose effect the snapshot already
-//! contains simply overwrites it with the identical value — which is
-//! what lets [`ProcessEngine::snapshot`] read the watermark before the
-//! store state without a global barrier.
+//! committed mutation *before* it becomes visible: commands as deltas
+//! over the instance's prior state, creations, ad-hoc changes and
+//! migration hops as full post-images. Recovery inverts that:
+//! [`recover_from`] restores the latest snapshot (or starts from an
+//! empty world), then replays every WAL entry past the snapshot's
+//! watermark through the same storage substrate the live engine writes
+//! through.
+//!
+//! A delta applies exactly once, to the state it was taken against, so
+//! replay must know which records the snapshot already holds.
+//! [`ProcessEngine::snapshot`] reads the watermark before the store
+//! state, without a global barrier, so a shard's instances may run ahead
+//! of it. Each instance record is journaled under its store shard's
+//! write lock, which stamps the shard with the record's sequence, and
+//! the snapshot persists every shard's stamp read under the guard it read
+//! the shard's instances under. Replay skips each instance record the
+//! snapshot covers ([`Snapshot::covers`]) and applies the rest in log
+//! order. A delta whose prior history or write-log length does not match
+//! the instance it lands on is a [`StorageError::Corrupt`] naming its
+//! sequence — never a silent divergence. The replayed records re-stamp
+//! the recovered store, so it snapshots exactly like the engine that
+//! wrote the log.
 //!
 //! Failure handling follows the crash semantics of the backends: a torn
 //! final record (the crash hit mid-append) is truncated and reported; a
@@ -30,7 +43,7 @@
 //! opened without its snapshot) and is refused as corruption. After
 //! replay every instance's history is re-run through
 //! [`adept_state::Execution::audit`]; divergence is reported (not fatal
-//! — the post-images are authoritative, the audit is a consistency
+//! — the journaled state is authoritative, the audit is a consistency
 //! check on the history substrate).
 //!
 //! The audit reads each instance's **own execution history** (carried in
@@ -64,10 +77,12 @@ pub const TAIL_REPAIR_WINDOW: u64 = 64;
 pub struct RecoveryReport {
     /// WAL entries replayed on top of the snapshot.
     pub replayed: usize,
-    /// Entries skipped because the snapshot watermark already covers them.
+    /// Entries skipped because the snapshot already holds them: at or
+    /// below its watermark, or instance records its shard stamps cover.
     pub skipped: usize,
-    /// State-change entries whose instance no longer exists (it was
-    /// removed later in the log) — harmless, counted for visibility.
+    /// Command deltas whose instance is missing — only possible over a
+    /// format-3 snapshot (no shard stamps) that already lost the instance
+    /// to a removal replayed later in the log. Counted for visibility.
     pub orphaned: usize,
     /// Bytes of a torn final record dropped by the crash repair.
     pub torn_tail_bytes: usize,
@@ -82,7 +97,8 @@ pub struct RecoveryReport {
     /// Instances whose replayed history audit passed.
     pub audited: usize,
     /// Instances whose recorded history does not reproduce their
-    /// recovered marking. The post-images win; this flags the divergence.
+    /// recovered marking. The journaled state wins; this flags the
+    /// divergence.
     pub divergent: Vec<InstanceId>,
 }
 
@@ -218,8 +234,11 @@ pub fn recover_from_segmented(
         report.tail_dropped = wal.retain_up_to(contiguous)?;
     }
     for entry in live {
-        replay_entry(&repo, &store, &wal, entry, &mut report)?;
-        report.replayed += 1;
+        if replay_entry(&repo, &store, &wal, snapshot, entry, &mut report)? {
+            report.replayed += 1;
+        } else {
+            report.skipped += 1;
+        }
     }
     // The WAL continues where the log ended — also when the whole log was
     // skipped (the snapshot may cover entries the backend no longer has
@@ -236,18 +255,30 @@ pub fn recover_from_segmented(
     Ok((engine, report))
 }
 
-/// Applies one WAL entry to the world being rebuilt. Every arm is an
-/// upsert (post-image) or tolerant of the record's effect already being
-/// present — the idempotency that makes the snapshot watermark race
-/// benign.
+/// Applies one WAL entry to the world being rebuilt; `Ok(false)` when the
+/// snapshot already holds it. Instance records re-stamp their shard
+/// either way; type records tolerate their effect already being present.
 fn replay_entry(
     repo: &SchemaRepository,
     store: &InstanceStore,
     wal: &WriteAheadLog,
+    snapshot: Option<&Snapshot>,
     entry: WalEntry,
     report: &mut RecoveryReport,
-) -> Result<(), EngineError> {
+) -> Result<bool, EngineError> {
     let seq = entry.seq;
+    report.last_seq = seq;
+    if let Some(id) = entry.record.instance() {
+        store.stamp(id, seq);
+        if snapshot.is_some_and(|s| s.covers(id, seq)) {
+            // The snapshot holds the instance past this record; only the
+            // audit view may still lack a carried transaction.
+            if let WalRecord::ChangeCommitted { txn, .. } = entry.record {
+                wal.note_replayed_txn(txn);
+            }
+            return Ok(false);
+        }
+    }
     match entry.record {
         WalRecord::Deployed { schema } => {
             // Re-deploying an already-known name mirrors the live path
@@ -283,22 +314,41 @@ fn replay_entry(
             version,
             state,
         } => {
-            store.insert_restored(StoredInstance {
-                id,
-                type_name,
-                version,
-                bias: adept_core::Delta::new(),
-                subst: SubstitutionBlock::default(),
-                state,
-                full_copy: None,
-                cached_overlay: None,
-            });
+            // Insert-if-absent: the creation was journaled before the
+            // instance became visible.
+            if store.with_instance(id, |_| ()).is_none() {
+                store.insert_restored(StoredInstance {
+                    id,
+                    type_name,
+                    version,
+                    bias: adept_core::Delta::new(),
+                    subst: SubstitutionBlock::default(),
+                    state,
+                    full_copy: None,
+                    cached_overlay: None,
+                });
+            }
         }
-        WalRecord::StateChanged { id, state } => {
-            if store.update(id, |inst| inst.state = state).is_none() {
-                // The instance was removed later in the log; the change
-                // has no surviving target.
-                report.orphaned += 1;
+        WalRecord::CommandApplied { id, delta } => {
+            match store.update(id, |inst| (delta.apply(&mut inst.state), 0)) {
+                Some(Ok(())) => {}
+                Some(Err(mismatch)) => {
+                    return Err(StorageError::corrupt(format!(
+                        "wal #{seq}: command delta of {id} does not fit its state: {mismatch}"
+                    ))
+                    .into());
+                }
+                // No target: a snapshot without shard stamps (format 3)
+                // may have lost the instance to a removal the log replays
+                // later. With stamps, or without a snapshot, the log
+                // itself never created it.
+                None if snapshot.is_some_and(|s| !s.stamped()) => report.orphaned += 1,
+                None => {
+                    return Err(StorageError::corrupt(format!(
+                        "wal #{seq}: command delta of {id}, which the log never created"
+                    ))
+                    .into());
+                }
             }
         }
         WalRecord::ChangeCommitted { record, txn } => {
@@ -309,9 +359,9 @@ fn replay_entry(
             store.insert_restored(record.into_stored());
         }
         WalRecord::Removed { id } => {
-            // Lenient: the journaled removal may have crashed between the
-            // WAL append and the store removal, or replay twice.
-            let _ = store.remove(id);
+            store
+                .remove(id, |_| Ok::<_, std::convert::Infallible>(0))
+                .unwrap_or_else(|never| match never {});
         }
         WalRecord::Txn { record } => {
             wal.note_replayed_txn(record);
@@ -320,8 +370,7 @@ fn replay_entry(
         // with no state effect; it only keeps the sequence contiguous.
         WalRecord::Abandoned => {}
     }
-    report.last_seq = seq;
-    Ok(())
+    Ok(true)
 }
 
 /// Re-runs every recovered instance's execution history and compares the

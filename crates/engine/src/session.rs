@@ -364,7 +364,10 @@ impl ChangeSession<'_> {
                         txn,
                     )
                 })
-                .map(|s| seq = s)
+                .map(|appended| {
+                    seq = appended.txn_seq;
+                    appended.wal_seq
+                })
             },
         )?;
         if !installed {
@@ -446,7 +449,7 @@ impl ChangeSession<'_> {
                         txn,
                     )
                 })
-                .map(|s| seq = s)
+                .map(|appended| seq = appended.txn_seq)
             },
         ) {
             Ok(v) => v,

@@ -265,12 +265,7 @@ impl<'a> CompiledExecution<'a> {
             return Err(RuntimeError::NotRunning(n));
         }
         st.marking.set_node(n, NodeState::Activated);
-        if let Some(i) = st
-            .history
-            .events
-            .iter()
-            .rposition(|e| matches!(e, Event::Started { node, .. } if *node == n))
-        {
+        if let Some(i) = st.history.last_started(n) {
             st.history.events.remove(i);
         }
         Ok(())

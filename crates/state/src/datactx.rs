@@ -78,6 +78,33 @@ impl DataContext {
         Ok(())
     }
 
+    /// Appends an already-validated write record — the replay of a
+    /// journaled write, which was type-checked when it first happened.
+    pub fn push_record(&mut self, rec: WriteRecord) {
+        self.values.insert(rec.data, rec.value.clone());
+        self.log.push(rec);
+    }
+
+    /// Drops every write past the first `len`, restoring the current
+    /// values those writes overwrote. The current values are always the
+    /// last write per element ([`DataContext::write`] and
+    /// [`DataContext::push_record`] are the only mutators), so they are
+    /// re-derived from the surviving log.
+    pub fn truncate_log(&mut self, len: usize) {
+        if len >= self.log.len() {
+            return;
+        }
+        let dropped: std::collections::BTreeSet<DataId> =
+            self.log[len..].iter().map(|r| r.data).collect();
+        self.log.truncate(len);
+        for d in dropped {
+            match self.log.iter().rev().find(|r| r.data == d) {
+                Some(r) => self.values.insert(d, r.value.clone()),
+                None => self.values.remove(&d),
+            };
+        }
+    }
+
     /// The complete write log, in write order.
     pub fn log(&self) -> &[WriteRecord] {
         &self.log
@@ -146,6 +173,22 @@ mod tests {
         ctx.write(&s, a, d, Value::Int(2)).unwrap();
         assert_eq!(ctx.value(d), &Value::Int(2));
         assert_eq!(ctx.log().len(), 2);
+    }
+
+    #[test]
+    fn truncate_log_restores_overwritten_values() {
+        let (s, a, d) = schema_with_data();
+        let mut ctx = DataContext::new();
+        ctx.write(&s, a, d, Value::Int(1)).unwrap();
+        let one = ctx.clone();
+        ctx.write(&s, a, d, Value::Int(2)).unwrap();
+        ctx.truncate_log(1);
+        assert_eq!(ctx, one);
+        ctx.truncate_log(0);
+        assert_eq!(ctx, DataContext::new());
+        let rec = one.log()[0].clone();
+        ctx.push_record(rec);
+        assert_eq!(ctx, one);
     }
 
     #[test]

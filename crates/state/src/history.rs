@@ -119,6 +119,14 @@ impl ExecutionHistory {
         self.events.is_empty()
     }
 
+    /// Index of the most recent `Started` event of `node` — the event
+    /// failing that activity withdraws.
+    pub fn last_started(&self, node: NodeId) -> Option<usize> {
+        self.events
+            .iter()
+            .rposition(|e| matches!(e, Event::Started { node: n, .. } if *n == node))
+    }
+
     /// Activities that have a `Started` event, in first-start order.
     pub fn started_activities(&self) -> Vec<NodeId> {
         let mut seen = BTreeSet::new();

@@ -15,7 +15,9 @@
 //!   criterion of the paper is defined over;
 //! * [`Execution::replay`] — reproducing a history on a (possibly changed)
 //!   schema, the semantic oracle for compliance checking;
-//! * [`DataContext`] — instance data values with full write logs.
+//! * [`DataContext`] — instance data values with full write logs;
+//! * [`StateDelta`] — what one command changed in a state, the unit the
+//!   write-ahead log journals per command.
 //!
 //! ## The hot path: the compiled tier
 //!
@@ -36,6 +38,7 @@
 
 pub mod compact;
 pub mod datactx;
+pub mod delta;
 pub mod error;
 pub mod execution;
 pub mod history;
@@ -44,10 +47,11 @@ pub mod replay;
 
 pub use compact::{CompactMarking, CompiledExecution};
 pub use datactx::{DataContext, WriteRecord};
+pub use delta::{DeltaMismatch, StateDelta, StateMark};
 pub use error::RuntimeError;
 pub use execution::{
     enabled_diff, Decision, DefaultDriver, Driver, Execution, InstanceState, RunEvent,
 };
 pub use history::{Event, ExecutionHistory};
-pub use marking::{EdgeState, Marking, NodeState};
+pub use marking::{EdgeState, Marking, MarkingDiff, NodeState};
 pub use replay::ReplayScript;

@@ -200,6 +200,32 @@ impl Marking {
         self.loop_counts = other.loop_counts.clone();
     }
 
+    /// Every node, edge and loop counter whose value differs between
+    /// `self` and `post`, as its absolute value in `post` (defaults
+    /// included, so an entry that dropped out of `post` is reported at
+    /// its default). One merge pass over each map.
+    pub fn diff(&self, post: &Marking) -> MarkingDiff {
+        MarkingDiff {
+            nodes: diff_map(&self.nodes, &post.nodes),
+            edges: diff_map(&self.edges, &post.edges),
+            loops: diff_map(&self.loop_counts, &post.loop_counts),
+        }
+    }
+
+    /// Sets every entry of `diff` to its recorded value — the inverse of
+    /// [`Marking::diff`]: `pre.apply(pre.diff(&post))` leaves `pre == post`.
+    pub fn apply(&mut self, diff: MarkingDiff) {
+        for (n, s) in diff.nodes {
+            self.set_node(n, s);
+        }
+        for (e, s) in diff.edges {
+            self.set_edge(e, s);
+        }
+        for (n, c) in diff.loops {
+            self.set_loop_count(n, c);
+        }
+    }
+
     /// Compares only node and edge states (ignoring loop counters), which
     /// is the equivalence that matters for compliance/adaptation oracles:
     /// reduced-history replay intentionally flattens earlier iterations.
@@ -214,6 +240,54 @@ impl Marking {
             + self.nodes.len() * (size_of::<NodeId>() + size_of::<NodeState>() + 32)
             + self.edges.len() * (size_of::<EdgeId>() + size_of::<EdgeState>() + 32)
             + self.loop_counts.len() * (size_of::<NodeId>() + size_of::<u32>() + 32)
+    }
+}
+
+/// The marking entries one mutation changed, each as its absolute
+/// post-value ([`Marking::diff`]); the marking part of a
+/// [`crate::StateDelta`].
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MarkingDiff {
+    /// Changed node states, in id order.
+    pub nodes: Vec<(NodeId, NodeState)>,
+    /// Changed edge states, in id order.
+    pub edges: Vec<(EdgeId, EdgeState)>,
+    /// Changed loop counters, in id order.
+    pub loops: Vec<(NodeId, u32)>,
+}
+
+/// The entries of `post` that differ from `pre`, plus `pre`'s entries
+/// absent from `post` at the default value (the maps never store
+/// defaults, so absence *is* the default).
+fn diff_map<K: Ord + Copy, V: Copy + PartialEq + Default>(
+    pre: &BTreeMap<K, V>,
+    post: &BTreeMap<K, V>,
+) -> Vec<(K, V)> {
+    let mut out = Vec::new();
+    let (mut a, mut b) = (pre.iter().peekable(), post.iter().peekable());
+    loop {
+        match (a.peek(), b.peek()) {
+            (None, None) => return out,
+            (Some((ka, va)), Some((kb, vb))) if ka == kb => {
+                if va != vb {
+                    out.push((**kb, **vb));
+                }
+                a.next();
+                b.next();
+            }
+            (Some((ka, _)), Some((kb, _))) if ka < kb => {
+                out.push((**ka, V::default()));
+                a.next();
+            }
+            (Some((ka, _)), None) => {
+                out.push((**ka, V::default()));
+                a.next();
+            }
+            (_, Some((kb, vb))) => {
+                out.push((**kb, **vb));
+                b.next();
+            }
+        }
     }
 }
 
@@ -274,6 +348,36 @@ mod tests {
         a.bump_loop(NodeId(2));
         assert!(a.same_states(&b));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn diff_reports_absolute_post_values_and_applies_back() {
+        let mut pre = Marking::new();
+        pre.set_node(NodeId(1), NodeState::Running);
+        pre.set_node(NodeId(2), NodeState::Activated);
+        pre.set_edge(EdgeId(1), EdgeState::TrueSignaled);
+        pre.bump_loop(NodeId(9));
+        let mut post = pre.clone();
+        post.set_node(NodeId(1), NodeState::Completed);
+        post.set_node(NodeId(2), NodeState::NotActivated);
+        post.set_node(NodeId(3), NodeState::Activated);
+        post.set_edge(EdgeId(2), EdgeState::FalseSignaled);
+        post.clear_loop(NodeId(9));
+        let diff = pre.diff(&post);
+        assert_eq!(
+            diff.nodes,
+            vec![
+                (NodeId(1), NodeState::Completed),
+                (NodeId(2), NodeState::NotActivated),
+                (NodeId(3), NodeState::Activated),
+            ]
+        );
+        assert_eq!(diff.edges, vec![(EdgeId(2), EdgeState::FalseSignaled)]);
+        assert_eq!(diff.loops, vec![(NodeId(9), 0)]);
+        let mut replayed = pre.clone();
+        replayed.apply(diff);
+        assert_eq!(replayed, post);
+        assert_eq!(post.diff(&post), MarkingDiff::default());
     }
 
     #[test]

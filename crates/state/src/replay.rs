@@ -133,7 +133,7 @@ impl Execution<'_> {
     /// Audits a recovered instance state: replays its own history on this
     /// schema and reports whether the replayed marking reaches the same
     /// node/edge states as the stored one. Crash recovery runs this over
-    /// every restored instance — post-image replay already guarantees the
+    /// every restored instance — the journal already guarantees the
     /// stored bytes, and the audit independently confirms those bytes are
     /// *producible* (history and marking agree), catching log corruption
     /// that decodes cleanly.

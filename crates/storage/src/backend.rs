@@ -75,8 +75,9 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// `"file"`).
     fn kind(&self) -> &'static str;
 
-    /// Whether appends can actually fail. Infallible backends let the
-    /// engine skip defensive pre-images on the hot path.
+    /// Whether appends can actually fail (the in-memory medium cannot).
+    /// Informational: the engine rolls a failed command journal back the
+    /// same way on every medium, from the delta mark it journals anyway.
     fn infallible(&self) -> bool {
         false
     }

@@ -33,7 +33,7 @@
 //! acquisition order (see `docs/LOCK_ORDER.md` for the authoritative
 //! class DAG). Cross-shard operations ([`InstanceStore::ids`],
 //! [`InstanceStore::len`], [`InstanceStore::memory`],
-//! [`InstanceStore::all`], [`InstanceStore::instances_of`]) visit shards
+//! [`InstanceStore::all_stamped`], [`InstanceStore::instances_of`]) visit shards
 //! sequentially, releasing each lock before taking the next — they
 //! compose per-shard snapshots instead of stopping the world, so they
 //! are cheap but not linearisable against concurrent writers (the same
@@ -158,13 +158,19 @@ impl MemoryBreakdown {
 /// operations stay cheap.
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
-/// One shard: the instance map plus the per-type secondary index over the
-/// ids living on this shard. Both live under **one** lock so they can
-/// never be observed out of sync.
+/// One shard: the instance map, the per-type secondary index over the
+/// ids living on this shard, and the shard's journal stamp. All three
+/// live under **one** lock so they can never be observed out of sync.
 #[derive(Debug, Default)]
 struct ShardState {
     instances: BTreeMap<InstanceId, StoredInstance>,
     by_type: BTreeMap<String, BTreeSet<InstanceId>>,
+    /// The WAL sequence of the last record journaled under this shard's
+    /// write lock (0 = none). Records of one shard are journaled under
+    /// its lock, so their sequences rise monotonically: a snapshot that
+    /// reads the stamp together with the instances holds exactly the
+    /// shard's records up to it.
+    stamp: u64,
 }
 
 impl ShardState {
@@ -174,6 +180,12 @@ impl ShardState {
             .or_default()
             .insert(inst.id);
         self.instances.insert(inst.id, inst);
+    }
+
+    /// Records that `seq` was journaled under this shard's lock (0 = no
+    /// record).
+    fn stamp(&mut self, seq: u64) {
+        self.stamp = self.stamp.max(seq);
     }
 
     fn remove(&mut self, id: InstanceId) -> Option<StoredInstance> {
@@ -237,10 +249,12 @@ impl InstanceStore {
         self.shards.for_id(id)
     }
 
-    /// Creates a new (unbiased) instance of a type version.
+    /// Creates a new (unbiased) instance of a type version, unjournaled.
     pub fn create(&self, type_name: &str, version: u32, state: InstanceState) -> InstanceId {
         let id = self.allocate_id();
-        self.insert_new(id, type_name, version, state);
+        let Ok(()) = self.insert_new(id, type_name, version, state, |_| {
+            Ok::<_, std::convert::Infallible>(0)
+        });
         id
     }
 
@@ -257,9 +271,19 @@ impl InstanceStore {
     }
 
     /// Inserts a fresh unbiased instance under a previously
-    /// [allocated](InstanceStore::allocate_id) id.
-    pub fn insert_new(&self, id: InstanceId, type_name: &str, version: u32, state: InstanceState) {
-        self.shard(id).write().insert(StoredInstance {
+    /// [allocated](InstanceStore::allocate_id) id. The instance is handed
+    /// to `journal` under the shard write lock **before** it becomes
+    /// visible; `journal` returns the WAL sequence it appended (0 = none),
+    /// which stamps the shard. If journaling fails nothing is inserted.
+    pub fn insert_new<E>(
+        &self,
+        id: InstanceId,
+        type_name: &str,
+        version: u32,
+        state: InstanceState,
+        journal: impl FnOnce(&StoredInstance) -> Result<u64, E>,
+    ) -> Result<(), E> {
+        let inst = StoredInstance {
             id,
             type_name: type_name.to_string(),
             version,
@@ -268,7 +292,12 @@ impl InstanceStore {
             state,
             full_copy: None,
             cached_overlay: None,
-        });
+        };
+        let mut shard = self.shard(id).write();
+        let seq = journal(&inst)?;
+        shard.stamp(seq);
+        shard.insert(inst);
+        Ok(())
     }
 
     /// Inserts a fully-specified instance (persistence restore path). The
@@ -279,12 +308,25 @@ impl InstanceStore {
         self.shard(inst.id).write().insert(inst);
     }
 
-    /// Removes an instance (cancellation / archival), returning it. The
-    /// id is **not** reused. Migration treats an instance that disappears
-    /// mid-flight as [`adept_core::ConflictKind::Vanished`], not as a
-    /// structural failure.
-    pub fn remove(&self, id: InstanceId) -> Option<StoredInstance> {
-        self.shard(id).write().remove(id)
+    /// Removes an instance (cancellation / archival), returning it
+    /// (`Ok(None)` for an unknown id). The id is **not** reused. Migration
+    /// treats an instance that disappears mid-flight as
+    /// [`adept_core::ConflictKind::Vanished`], not as a structural failure.
+    /// Like [`InstanceStore::insert_new`], the instance is handed to
+    /// `journal` under the shard write lock before it disappears, and a
+    /// journaling failure removes nothing.
+    pub fn remove<E>(
+        &self,
+        id: InstanceId,
+        journal: impl FnOnce(&StoredInstance) -> Result<u64, E>,
+    ) -> Result<Option<StoredInstance>, E> {
+        let mut shard = self.shard(id).write();
+        let Some(inst) = shard.instances.get(&id) else {
+            return Ok(None);
+        };
+        let seq = journal(inst)?;
+        shard.stamp(seq);
+        Ok(shard.remove(id))
     }
 
     /// Reads an instance (cloned snapshot).
@@ -344,21 +386,57 @@ impl InstanceStore {
         self.shards.iter().all(|s| s.read().instances.is_empty())
     }
 
-    /// Cloned snapshots of all instances, in id order — the persistence
-    /// path. Composed per shard; each shard's lock is released before the
-    /// next is taken.
-    pub fn all(&self) -> Vec<StoredInstance> {
+    /// Cloned snapshots of all instances, in id order, plus every shard's
+    /// journal stamp, each read under the same guard as that shard's
+    /// instances — the persistence path. Composed per shard; each shard's
+    /// lock is released before the next is taken. A shard's instances are
+    /// exactly its journaled records up to its stamp; records past it are
+    /// not reflected. The stamps come back empty when no shard has
+    /// journaled anything (a store without a WAL), so they do not depend
+    /// on the shard count there.
+    pub fn all_stamped(&self) -> (Vec<StoredInstance>, Vec<u64>) {
         let mut out = Vec::new();
+        let mut stamps = Vec::with_capacity(self.shards.count());
         for shard in self.shards.iter() {
-            out.extend(shard.read().instances.values().cloned());
+            let shard = shard.read();
+            out.extend(shard.instances.values().cloned());
+            stamps.push(shard.stamp);
         }
         out.sort_unstable_by_key(|i| i.id);
-        out
+        if stamps.iter().all(|s| *s == 0) {
+            stamps.clear();
+        }
+        (out, stamps)
     }
 
-    /// Mutates an instance in place via the supplied closure.
-    pub fn update<R>(&self, id: InstanceId, f: impl FnOnce(&mut StoredInstance) -> R) -> Option<R> {
-        self.shard(id).write().instances.get_mut(&id).map(f)
+    /// Mutates an instance in place. `f` returns its result plus the WAL
+    /// sequence it journaled under the shard write lock (0 = none), which
+    /// stamps the shard.
+    pub fn update<R>(
+        &self,
+        id: InstanceId,
+        f: impl FnOnce(&mut StoredInstance) -> (R, u64),
+    ) -> Option<R> {
+        let mut shard = self.shard(id).write();
+        let (r, seq) = f(shard.instances.get_mut(&id)?);
+        shard.stamp(seq);
+        Some(r)
+    }
+
+    /// Stamps `id`'s shard with a replayed record's sequence, so a
+    /// recovered store carries the stamps the journaling store had.
+    pub fn stamp(&self, id: InstanceId, seq: u64) {
+        self.shard(id).write().stamp(seq);
+    }
+
+    /// Seeds the shard stamps from a snapshot ([`InstanceStore::all_stamped`]);
+    /// empty seeds nothing. The store must have as many shards as
+    /// `stamps` has entries.
+    pub fn seed_stamps(&self, stamps: &[u64]) {
+        debug_assert!(stamps.is_empty() || stamps.len() == self.shards.count());
+        for (shard, seq) in self.shards.iter().zip(stamps) {
+            shard.write().stamp(*seq);
+        }
     }
 
     /// Resolves the schema an instance currently executes on, following the
@@ -420,9 +498,10 @@ impl InstanceStore {
     /// of clobbering the concurrent update. Once the check passes, the
     /// fully built candidate is handed to `journal` **before** it is
     /// installed — still under the shard write lock, so the WAL records
-    /// installs in their visibility order. If journaling fails nothing is
+    /// installs in their visibility order; `journal` returns the sequence
+    /// it appended, which stamps the shard. If journaling fails nothing is
     /// installed and the error surfaces; `Ok(false)` means a CAS mismatch
-    /// or an unknown id. Callers without a WAL pass `|_| Ok(())`.
+    /// or an unknown id. Callers without a WAL pass `|_| Ok(0)`.
     #[allow(clippy::too_many_arguments)]
     pub fn set_bias<E>(
         &self,
@@ -433,7 +512,7 @@ impl InstanceStore {
         bias: Delta,
         materialized: &ProcessSchema,
         state: InstanceState,
-        journal: impl FnOnce(&StoredInstance) -> Result<(), E>,
+        journal: impl FnOnce(&StoredInstance) -> Result<u64, E>,
     ) -> Result<bool, E> {
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
@@ -460,8 +539,9 @@ impl InstanceStore {
             full_copy,
             cached_overlay,
         };
-        journal(&candidate)?;
+        let seq = journal(&candidate)?;
         *inst = candidate;
+        shard.stamp(seq);
         Ok(true)
     }
 
@@ -484,7 +564,7 @@ impl InstanceStore {
         new_version: u32,
         state: InstanceState,
         materialized: Option<&ProcessSchema>,
-        journal: impl FnOnce(&StoredInstance) -> Result<(), E>,
+        journal: impl FnOnce(&StoredInstance) -> Result<u64, E>,
     ) -> Result<bool, E> {
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
@@ -511,8 +591,9 @@ impl InstanceStore {
                 Representation::RedundantFree => {}
             }
         }
-        journal(&candidate)?;
+        let seq = journal(&candidate)?;
         *inst = candidate;
+        shard.stamp(seq);
         Ok(true)
     }
 
@@ -599,7 +680,7 @@ mod tests {
                 bias,
                 &materialized,
                 st.clone(),
-                |_| Ok::<_, ()>(()),
+                |_| Ok::<_, ()>(0),
             )
             .unwrap();
         assert!(installed);
@@ -711,7 +792,8 @@ mod tests {
         assert_eq!(store.len(), 100);
         assert_eq!(store.ids(), created, "ids() must be in id order");
         assert_eq!(store.instances_of(&name), created);
-        let all = store.all();
+        let (all, stamps) = store.all_stamped();
+        assert!(stamps.is_empty(), "nothing was journaled");
         assert_eq!(all.len(), 100);
         assert!(all.windows(2).all(|w| w[0].id < w[1].id));
     }
@@ -746,10 +828,17 @@ mod tests {
         let st = dep.execution().init().unwrap();
         let i1 = store.create(&name, 1, st.clone());
         let i2 = store.create(&name, 1, st);
-        let removed = store.remove(i1).expect("instance existed");
+        let unjournaled = |_: &StoredInstance| Ok::<_, ()>(0);
+        let removed = store
+            .remove(i1, unjournaled)
+            .unwrap()
+            .expect("instance existed");
         assert_eq!(removed.id, i1);
         assert!(store.get(i1).is_none());
-        assert!(store.remove(i1).is_none(), "double remove is None");
+        assert!(
+            store.remove(i1, unjournaled).unwrap().is_none(),
+            "double remove is None"
+        );
         assert_eq!(store.instances_of(&name), vec![i2]);
         assert_eq!(store.ids(), vec![i2]);
         // The id is not reused.

@@ -83,9 +83,17 @@
 //! * **[`WriteAheadLog`]** ([`wal`]) — every committed change transaction
 //!   and every state-mutating command outcome is appended as one compact
 //!   JSON line ([`WalEntry`]) **before** it becomes visible engine state.
-//!   Records carry physical post-images, so replay is a sequence of
-//!   idempotent upserts. The WAL *is* the transaction log: [`TxnLog`] is
-//!   a view over its transaction projection. The log can be
+//!   A command journals a **delta** ([`WalRecord::CommandApplied`]): the
+//!   events and writes it appended after a history cut point, and the
+//!   marking entries it changed — a record's size is the command's, not
+//!   the instance history's. Creations, ad-hoc changes and migration
+//!   hops journal full post-images. A delta applies only to the state it
+//!   was taken against (its prior history and write-log lengths are
+//!   checked on replay; a mismatch is [`StorageError::Corrupt`]) and only
+//!   once: every instance record is journaled under its store shard's
+//!   write lock, which stamps the shard with the record's sequence. The
+//!   WAL *is* the transaction log: [`TxnLog`] is a view over its
+//!   transaction projection. The log can be
 //!   **segmented** over several backends
 //!   ([`WriteAheadLog::create_segmented`], a power-of-two count):
 //!   sequence `s` lands on segment `(s − 1) mod N`, allocation is one
@@ -94,12 +102,15 @@
 //!   serializing on a single backend lock. One segment is byte-identical
 //!   to the unsegmented layout; `open_segmented` merges segments back
 //!   into one globally ordered stream and refuses duplicate sequences.
-//! * **Snapshots + replay** ([`persist`]) — format-3 snapshots record the
-//!   WAL watermark (`wal_seq`) they cover. Recovery loads the latest
-//!   snapshot, replays the WAL tail (`seq > wal_seq`) onto it, and ends
-//!   at the exact pre-crash engine — byte-for-byte equal to an
-//!   uninterrupted run's snapshot. Format-2 and format-1 documents still
-//!   restore.
+//! * **Snapshots + replay** ([`persist`]) — format-4 snapshots record the
+//!   WAL watermark (`wal_seq`), read before the store, and every shard's
+//!   journal stamp (`wal_stamps`), read under the guard its instances
+//!   were read under. Recovery loads the latest snapshot, replays the WAL
+//!   tail (`seq > wal_seq`) onto it — skipping the instance records a
+//!   shard's stamp shows the snapshot already holds
+//!   ([`Snapshot::covers`]) — and ends at the exact pre-crash engine,
+//!   byte-for-byte equal to an uninterrupted run's snapshot. Format-3, 2
+//!   and 1 documents still restore.
 //!
 //! Crash semantics: a record is appended with a single write of
 //! `line + '\n'`, so a crash mid-append leaves a *torn tail* — bytes
@@ -156,4 +167,4 @@ pub use repo::{DeployedSchema, SchemaRepository};
 pub use shards::Shards;
 pub use subst::SubstitutionBlock;
 pub use txnlog::{TxnLog, TxnRecord, TxnTarget};
-pub use wal::{WalEntry, WalRecord, WriteAheadLog};
+pub use wal::{TxnAppend, WalEntry, WalRecord, WriteAheadLog};

@@ -12,6 +12,7 @@
 use crate::error::StorageError;
 use crate::instances::{InstanceStore, Representation, StoredInstance};
 use crate::repo::SchemaRepository;
+use crate::shards::shard_index;
 use crate::subst::SubstitutionBlock;
 use crate::txnlog::{TxnLog, TxnRecord};
 use adept_core::{Delta, ProcessType};
@@ -85,14 +86,41 @@ pub struct Snapshot {
     /// replays WAL entries with `seq > wal_seq` on top of it. 0 for
     /// snapshots taken without a durable WAL (nothing to replay).
     pub wal_seq: u64,
+    /// The instance store's per-shard journal stamps, each read under the
+    /// guard its shard's instances were read under
+    /// ([`InstanceStore::all_stamped`]); one entry per shard, or empty
+    /// when no shard journaled anything. The watermark is read first, so
+    /// a shard's instances can already hold records past it — exactly
+    /// those up to the shard's stamp ([`Snapshot::covers`]).
+    pub wal_stamps: Vec<u64>,
+}
+
+impl Snapshot {
+    /// Whether the document records shard stamps (format 4 on). Without
+    /// them, [`Snapshot::covers`] knows only the watermark.
+    pub fn stamped(&self) -> bool {
+        self.format >= 4
+    }
+
+    /// Whether the snapshot already holds the instance record `seq` about
+    /// `id`: it lies at or below the watermark, or at or below the stamp
+    /// of the shard `id` lived on. Recovery skips covered records —
+    /// deltas apply exactly once.
+    pub fn covers(&self, id: InstanceId, seq: u64) -> bool {
+        seq <= self.wal_seq
+            || (!self.wal_stamps.is_empty()
+                && self.wal_stamps[shard_index(id, self.wal_stamps.len())] >= seq)
+    }
 }
 
 // Hand-written so historic fields can default: format-1 snapshots were
 // written before the transaction log existed, format-2 snapshots before
-// the write-ahead log, and both must stay restorable. Each default is
-// gated on the format — a format-2 document *missing* `txns` (or a
-// format-3 document missing `wal_seq`) is corrupt (truncated write), not
-// historic, and must not be silently restored with defaults.
+// the write-ahead log, format-3 snapshots before the shard stamps, and
+// all must stay restorable. Each default is gated on the format — a
+// format-2 document *missing* `txns` (or a format-3 document missing
+// `wal_seq`, or a format-4 document missing `wal_stamps`) is corrupt
+// (truncated write), not historic, and must not be silently restored
+// with defaults.
 impl serde::Deserialize for Snapshot {
     fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
         let m = serde::as_map(v, "Snapshot")?;
@@ -112,13 +140,28 @@ impl serde::Deserialize for Snapshot {
                 Err(_) if format <= 2 => 0,
                 Err(e) => return Err(e),
             },
+            wal_stamps: match serde::field(m, "wal_stamps") {
+                Ok(v) => serde::Deserialize::deserialize(v)?,
+                Err(_) if format <= 3 => Vec::new(),
+                Err(e) => return Err(e),
+            },
         })
     }
 }
 
-/// Current snapshot format version. Version 2 added the change-transaction
-/// log (`txns`); version 3 the write-ahead-log watermark (`wal_seq`).
-pub const SNAPSHOT_FORMAT: u32 = 3;
+/// Current snapshot format version. The history:
+///
+/// * 2 added the change-transaction log (`txns`).
+/// * 3 added the write-ahead-log watermark (`wal_seq`). The log then held
+///   full post-images, which replay idempotently, so a state that ran
+///   ahead of the watermark was harmless.
+/// * 4 added the per-shard journal stamps (`wal_stamps`). Commands now
+///   journal deltas, which apply exactly once, so recovery must know
+///   which records past the watermark a snapshot already holds. A
+///   format-3 document restores with no stamps: replay then trusts the
+///   watermark alone, and a delta the state already holds fails its
+///   length check rather than apply twice.
+pub const SNAPSHOT_FORMAT: u32 = 4;
 
 /// Captures a snapshot including the change-transaction log.
 pub fn snapshot_with_txns(
@@ -134,7 +177,7 @@ pub fn snapshot_with_txns(
 /// Captures a snapshot of a repository + store pair (with an empty txn
 /// log; see [`snapshot_with_txns`]).
 ///
-/// Instances are collected per shard via [`InstanceStore::all`] — one
+/// Instances are collected per shard via [`InstanceStore::all_stamped`] — one
 /// shard lock at a time, no global barrier — and recorded in id order.
 /// Instances whose type is unknown to the repository are skipped (they
 /// could not be restored; the worklist surfaces them as corruption at
@@ -147,8 +190,8 @@ pub fn snapshot(repo: &SchemaRepository, store: &InstanceStore) -> Snapshot {
         }
     }
     let known: std::collections::BTreeSet<String> = repo.type_names().into_iter().collect();
-    let instances = store
-        .all()
+    let (all, wal_stamps) = store.all_stamped();
+    let instances = all
         .into_iter()
         .filter(|inst| known.contains(&inst.type_name))
         .map(|inst| InstanceRecord::of(&inst))
@@ -160,6 +203,7 @@ pub fn snapshot(repo: &SchemaRepository, store: &InstanceStore) -> Snapshot {
         instances,
         txns: Vec::new(),
         wal_seq: 0,
+        wal_stamps,
     }
 }
 
@@ -181,7 +225,20 @@ pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
             s.format
         )));
     }
+    check_stamps(&s)?;
     Ok(s)
+}
+
+/// The stamps index shards, so their count must be one a store can have.
+fn check_stamps(s: &Snapshot) -> Result<(), StorageError> {
+    if s.wal_stamps.is_empty() || s.wal_stamps.len().is_power_of_two() {
+        Ok(())
+    } else {
+        Err(StorageError::corrupt(format!(
+            "snapshot carries {} shard stamps; a store has a power-of-two shard count",
+            s.wal_stamps.len()
+        )))
+    }
 }
 
 /// Restores repository, store *and* transaction log from a snapshot.
@@ -194,11 +251,13 @@ pub fn restore_with_txns(
 
 /// Restores a repository + store pair from a snapshot. Caches (deployed
 /// block structures, overlay materialisations) are re-derived; instance
-/// ids are preserved. Every failure — an empty version chain, a delta
+/// ids are preserved. A snapshot with shard stamps restores onto a store
+/// of its shard count, carrying the stamps on. Every failure — an empty version chain, a delta
 /// that no longer applies, a replay that diverges from the recorded
 /// schema — surfaces as a [`StorageError::Corrupt`]; nothing on this
 /// path unwraps or swallows.
 pub fn restore(s: &Snapshot) -> Result<(SchemaRepository, InstanceStore), StorageError> {
+    check_stamps(s)?;
     let repo = SchemaRepository::new();
     for pt in &s.types {
         // Re-deploy version 1 (keeping the recorded schema id), then
@@ -230,7 +289,11 @@ pub fn restore(s: &Snapshot) -> Result<(SchemaRepository, InstanceStore), Storag
             }
         }
     }
-    let store = InstanceStore::new(s.strategy);
+    let store = match s.wal_stamps.len() {
+        0 => InstanceStore::new(s.strategy),
+        n => InstanceStore::with_shards(s.strategy, n),
+    };
+    store.seed_stamps(&s.wal_stamps);
     for rec in &s.instances {
         store.insert_restored(rec.clone().into_stored());
     }
@@ -280,7 +343,7 @@ mod tests {
                 bias,
                 &materialized,
                 st.clone(),
-                |_| Ok::<_, ()>(()),
+                |_| Ok::<_, ()>(0),
             )
             .unwrap();
         assert!(installed);
@@ -329,7 +392,8 @@ mod tests {
         let json = serde_json::to_string(&snap)
             .unwrap()
             .replace(",\"txns\":[]", "")
-            .replace(",\"wal_seq\":0", "");
+            .replace(",\"wal_seq\":0", "")
+            .replace(",\"wal_stamps\":[]", "");
         assert!(!json.contains("txns"), "field must be absent: {json}");
         let parsed = from_json(&json).unwrap();
         assert_eq!(parsed.format, 1);
@@ -346,7 +410,8 @@ mod tests {
         // A format-2 writer emitted `txns` but never `wal_seq`.
         let json = serde_json::to_string(&snap)
             .unwrap()
-            .replace(",\"wal_seq\":0", "");
+            .replace(",\"wal_seq\":0", "")
+            .replace(",\"wal_stamps\":[]", "");
         assert!(!json.contains("wal_seq"), "field must be absent: {json}");
         let parsed = from_json(&json).unwrap();
         assert_eq!(parsed.format, 2);
@@ -381,8 +446,8 @@ mod tests {
     #[test]
     fn format_3_snapshot_missing_wal_seq_is_corrupt() {
         let (repo, store, _) = world();
-        let snap = snapshot(&repo, &store);
-        assert_eq!(snap.format, 3);
+        let mut snap = snapshot(&repo, &store);
+        snap.format = 3;
         // A format-3 document without the watermark is a truncated write:
         // restoring it with wal_seq = 0 would re-replay the whole WAL on
         // top of a newer snapshot. Refuse instead.
@@ -391,6 +456,60 @@ mod tests {
             .replace(",\"wal_seq\":0", "");
         let err = from_json(&json).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn format_3_snapshot_without_stamps_still_parses() {
+        let (repo, store, _) = world();
+        let mut snap = snapshot(&repo, &store);
+        snap.format = 3;
+        snap.wal_seq = 5;
+        // A format-3 writer emitted `wal_seq` but never `wal_stamps`.
+        let json = serde_json::to_string(&snap)
+            .unwrap()
+            .replace(",\"wal_stamps\":[]", "");
+        assert!(!json.contains("wal_stamps"), "field must be absent: {json}");
+        let parsed = from_json(&json).unwrap();
+        assert_eq!((parsed.format, parsed.wal_seq), (3, 5));
+        assert!(parsed.wal_stamps.is_empty());
+        assert!(restore_with_txns(&parsed).is_ok());
+    }
+
+    #[test]
+    fn format_4_snapshot_missing_stamps_is_corrupt() {
+        let (repo, store, _) = world();
+        let snap = snapshot(&repo, &store);
+        assert_eq!(snap.format, 4);
+        let json = serde_json::to_string(&snap)
+            .unwrap()
+            .replace(",\"wal_stamps\":[]", "");
+        let err = from_json(&json).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn stamps_restore_onto_their_shard_count_and_cover_by_shard() {
+        let (repo, store, _) = world();
+        let mut snap = snapshot(&repo, &store);
+        assert!(snap.wal_stamps.is_empty(), "nothing journaled, no stamps");
+        snap.wal_seq = 3;
+        snap.wal_stamps = vec![0; 8];
+        let id = snap.instances[0].id;
+        snap.wal_stamps[shard_index(id, 8)] = 9;
+        let (_, restored) = restore(&snap).unwrap();
+        assert_eq!(restored.shard_count(), 8);
+        assert_eq!(restored.all_stamped().1, snap.wal_stamps);
+        assert!(snap.covers(id, 3), "the watermark covers every shard");
+        assert!(snap.covers(id, 9), "the stamp covers its own shard");
+        assert!(!snap.covers(id, 10));
+        let other = (1..)
+            .map(InstanceId)
+            .find(|o| shard_index(*o, 8) != shard_index(id, 8))
+            .unwrap();
+        assert!(!snap.covers(other, 9), "a stamp covers only its shard");
+        snap.wal_stamps.push(0);
+        let json = to_json(&snap).unwrap();
+        assert!(from_json(&json).is_err(), "9 stamps is no shard count");
     }
 
     #[test]

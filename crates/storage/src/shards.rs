@@ -16,6 +16,15 @@
 use crate::ordered::{LockClass, OrderedRwLock, OrderedRwLockReadGuard};
 use adept_model::InstanceId;
 
+/// The shard index of `id` in a table of `count` shards (a power of two)
+/// — the one shard-selection rule, also applied to persisted per-shard
+/// data such as a snapshot's journal stamps.
+#[inline]
+pub fn shard_index(id: InstanceId, count: usize) -> usize {
+    debug_assert!(count.is_power_of_two());
+    (id.hash64() & (count as u64 - 1)) as usize
+}
+
 /// A fixed, power-of-two array of independently locked shard states.
 #[derive(Debug)]
 pub struct Shards<T> {
@@ -46,7 +55,7 @@ impl<T> Shards<T> {
     /// The shard index an instance maps to.
     #[inline]
     pub fn index_of(&self, id: InstanceId) -> usize {
-        (id.hash64() & self.mask) as usize
+        shard_index(id, self.inner.len())
     }
 
     /// The shard an instance maps to.

@@ -9,7 +9,7 @@
 //!
 //! Since the durability subsystem landed, the records themselves live in
 //! the [`WriteAheadLog`]: commit paths append one WAL record that carries
-//! both the state post-image and the embedded `TxnRecord`, and `TxnLog`
+//! both the instance (or type) change and the embedded `TxnRecord`, and `TxnLog`
 //! is a cheap handle exposing the transaction projection of that log.
 //! The old standalone locked `Vec` with its own global sequence is gone —
 //! there is one log, and this is a view of it.
@@ -161,6 +161,7 @@ mod tests {
                 )
             })
             .unwrap()
+            .txn_seq
     }
 
     #[test]

@@ -8,13 +8,28 @@
 //! exact pre-crash engine; see the crate-level "Durability & recovery"
 //! section.
 //!
-//! Records carry **physical post-images** (the full instance record or
-//! runtime state after the mutation), not logical commands: replay is a
-//! sequence of idempotent upserts, so it converges byte-for-byte without
-//! re-running drivers, guards or compliance checks. Change transactions
+//! Records are **physical**, not logical commands, so replay converges
+//! byte-for-byte without re-running drivers, guards or compliance
+//! checks. Commands — the bulk of the log — journal a **delta**
+//! ([`WalRecord::CommandApplied`]): the events and writes they appended
+//! (after a history cut point) and the marking entries they changed, so
+//! a record's size is that of the command, not of the instance's
+//! history. Creations, ad-hoc changes and migration hops, which rebuild
+//! the instance, journal its full post-image. Change transactions
 //! additionally embed their audit [`TxnRecord`] in the *same* line as the
 //! post-image — one append, so a crash can never separate a change from
 //! its audit trail.
+//!
+//! A delta applies only to the state it was taken against: replay checks
+//! its prior history and write-log lengths and refuses a mismatch as
+//! corruption. It is also applied exactly once. Every instance record is
+//! journaled under its store shard's write lock, and the shard is
+//! stamped with the record's sequence in the same critical section
+//! ([`crate::InstanceStore::all_stamped`]). A snapshot persists the
+//! stamps it read together with each shard's instances, so recovery
+//! skips exactly the records a snapshot already holds
+//! ([`crate::Snapshot::covers`]), even when the snapshot ran ahead of
+//! its watermark.
 //!
 //! The WAL also **is** the transaction log: [`crate::TxnLog`] is a view
 //! over the `txns` projection maintained here, replacing the old
@@ -26,15 +41,17 @@ use crate::ordered::{classes, OrderedMutex, OrderedRwLock};
 use crate::persist::InstanceRecord;
 use crate::txnlog::TxnRecord;
 use adept_model::{InstanceId, ProcessSchema};
-use adept_state::InstanceState;
+use adept_state::{InstanceState, StateDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One durable engine mutation. Post-image records (`Created`,
-/// `StateChanged`, `ChangeCommitted`, `Migrated`) carry the complete
-/// resulting state, so replay is an upsert and re-applying a record is
-/// harmless.
+/// One durable engine mutation. `Created`, `ChangeCommitted` and
+/// `Migrated` carry the instance's complete resulting record;
+/// `CommandApplied` carries only what a command changed and applies once,
+/// to the exact state it was taken against. Instance records
+/// (`Created`, `CommandApplied`, `ChangeCommitted`, `Migrated`,
+/// `Removed`) are journaled under the instance's store shard lock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalRecord {
     /// A process type was deployed (version 1). Carries the deployed
@@ -64,13 +81,14 @@ pub enum WalRecord {
         /// Its initial runtime state.
         state: InstanceState,
     },
-    /// A command (or command segment) mutated an instance's runtime
-    /// state; `state` is the post-command image.
-    StateChanged {
+    /// A command (or a group of commands submitted together) changed an
+    /// instance's runtime state: the delta over its prior state.
+    CommandApplied {
         /// The instance.
         id: InstanceId,
-        /// Runtime state after the command segment.
-        state: InstanceState,
+        /// What the command changed; replay applies it only when the
+        /// instance's history and write-log lengths match its prior ones.
+        delta: StateDelta,
     },
     /// An ad-hoc change transaction committed on one instance: the full
     /// instance post-image plus the audit record, atomically in one line.
@@ -113,6 +131,34 @@ pub struct WalEntry {
     pub seq: u64,
     /// The recorded mutation.
     pub record: WalRecord,
+}
+
+impl WalRecord {
+    /// The instance an instance record is about (`None` for type-level
+    /// records and fillers).
+    pub fn instance(&self) -> Option<InstanceId> {
+        match self {
+            WalRecord::Created { id, .. }
+            | WalRecord::CommandApplied { id, .. }
+            | WalRecord::Removed { id } => Some(*id),
+            WalRecord::ChangeCommitted { record, .. } | WalRecord::Migrated { record } => {
+                Some(record.id)
+            }
+            WalRecord::Deployed { .. }
+            | WalRecord::Evolved { .. }
+            | WalRecord::Txn { .. }
+            | WalRecord::Abandoned => None,
+        }
+    }
+}
+
+/// Where [`WriteAheadLog::append_txn`] put a transaction-carrying record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxnAppend {
+    /// The transaction's audit sequence number (1-based).
+    pub txn_seq: u64,
+    /// The record's WAL sequence (0 on a disabled WAL).
+    pub wal_seq: u64,
 }
 
 /// Encodes one entry as its compact one-line JSON form (the shared codec:
@@ -192,8 +238,8 @@ impl Durable {
 /// ordered, contention-free); entry `seq` selects the segment by
 /// `(seq - 1) & mask`, so consecutive appends round-robin across
 /// segments and concurrent appends from different store shards land on
-/// different segment mediums — `StateChanged` journaling under a shard
-/// write lock no longer serialises every shard on one backend lock.
+/// different segment mediums — command journaling under a shard write
+/// lock does not serialise every shard on one backend lock.
 /// With one segment (the [`WriteAheadLog::create`] path) the layout is
 /// byte-identical to the pre-segmentation log. Recovery merges all
 /// segments by sequence number; per-segment torn tails are repaired by
@@ -338,13 +384,6 @@ impl WriteAheadLog {
     /// Number of segment mediums (0 = disabled).
     pub fn segment_count(&self) -> usize {
         self.segments.len()
-    }
-
-    /// Whether appends can fail (any attached, fallible segment).
-    /// Callers use this to decide whether a rollback pre-image is worth
-    /// cloning.
-    pub fn fallible(&self) -> bool {
-        self.segments.iter().any(|b| !b.infallible())
     }
 
     /// The attached backends' kind (`"memory"`, `"file"`), if any.
@@ -501,19 +540,21 @@ impl WriteAheadLog {
     /// is untouched and the error surfaces to the commit path. (Change
     /// commits are rare next to command journaling, so serialising them
     /// on the view lock costs nothing on the hot path.) Returns the
-    /// assigned transaction sequence number.
+    /// assigned transaction sequence number and the record's WAL sequence.
     pub fn append_txn(
         &self,
         build: impl FnOnce(u64) -> (WalRecord, TxnRecord),
-    ) -> Result<u64, StorageError> {
+    ) -> Result<TxnAppend, StorageError> {
         let mut inner = self.inner.write();
         let txn_seq = inner.txns.last().map(|r| r.seq).unwrap_or(0) + 1;
         let (record, txn) = build(txn_seq);
-        if !self.segments.is_empty() {
-            self.append_allocated(record)?;
-        }
+        let wal_seq = if self.segments.is_empty() {
+            0
+        } else {
+            self.append_allocated(record)?
+        };
         inner.txns.push(txn);
-        Ok(txn_seq)
+        Ok(TxnAppend { txn_seq, wal_seq })
     }
 
     /// Seeds the transaction view from persisted records (snapshot
@@ -585,12 +626,17 @@ mod tests {
     fn disabled_wal_keeps_view_only() {
         let wal = WriteAheadLog::disabled();
         assert!(!wal.enabled());
-        assert!(!wal.fallible());
         assert_eq!(wal.position(), 0);
         let s = wal
             .append_txn(|seq| (WalRecord::Txn { record: txn(seq) }, txn(seq)))
             .unwrap();
-        assert_eq!(s, 1);
+        assert_eq!(
+            s,
+            TxnAppend {
+                txn_seq: 1,
+                wal_seq: 0
+            }
+        );
         assert_eq!(wal.position(), 0, "disabled appends don't advance");
         assert_eq!(wal.txn_len(), 1);
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Durability: a crash-safe engine on a write-ahead log.
 //!
 //! A durable engine journals every committed mutation — deployments,
-//! creations, execution post-images, change transactions, migrations,
+//! creations, per-command state deltas, change transactions, migrations,
 //! removals — to a [`StorageBackend`] *before* it becomes visible. After
 //! a crash, [`recovery::recover_from`] rebuilds the exact engine from
 //! the latest checkpoint snapshot plus the log tail; a torn final record

@@ -63,7 +63,7 @@ fn main() {
                         bias,
                         &materialized,
                         st.clone(),
-                        |_| Ok::<_, ()>(()),
+                        |_| Ok::<_, ()>(0),
                     )
                     .unwrap();
                 assert!(installed);

@@ -607,3 +607,304 @@ fn kill_and_restart_recovers() {
     assert_eq!(engine.store.len(), 6);
     std::fs::remove_file(&path).ok();
 }
+
+// ---------------------------------------------------------------------
+// Command deltas: single commands, interior withdrawals, shard stamps
+// ---------------------------------------------------------------------
+
+mod deltas {
+    use super::*;
+    use adept_engine::EngineCommand;
+    use adept_storage::Snapshot;
+    use adept_tests::command_mix;
+    use adept_tests::journals::{Journal, Layout, LAYOUTS};
+
+    fn mix_engine(journal: &Journal) -> (ProcessEngine, String) {
+        let engine = ProcessEngine::with_segmented_wal(journal.backends()).unwrap();
+        let name = engine.deploy(command_mix::process()).unwrap();
+        (engine, name)
+    }
+
+    /// The recovered engine's snapshot JSON and the instances its
+    /// history audit flagged.
+    fn recover_json(snapshot: Option<&Snapshot>, journal: &Journal) -> (String, Vec<InstanceId>) {
+        let (rec, report) = recovery::recover_from_segmented(snapshot, journal.backends()).unwrap();
+        (to_json(&rec.snapshot()).unwrap(), report.divergent)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 8,
+            ..ProptestConfig::default()
+        })]
+
+        /// Lifecycles of single `Start`, `Complete`, `FailActivity` and
+        /// `DecideXor` commands — plus start-and-fail batches, drives,
+        /// ad-hoc changes and undos, evolve+migrate and removals — recover
+        /// byte-identical to the live run from a prefix snapshot + tail and
+        /// from the WAL alone, on every journal layout. Failing an
+        /// activity after another one started withdraws an interior
+        /// `Started` event; its delta must cut the history there.
+        #[test]
+        fn command_deltas_recover_byte_identical(
+            seed in 0u64..10_000,
+            steps in 10usize..40,
+            prefix in 0usize..40,
+        ) {
+            for layout in LAYOUTS {
+                let journal = Journal::new(layout, "mix");
+                let (engine, name) = mix_engine(&journal);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut ids: Vec<InstanceId> = Vec::new();
+                let mut mid_snapshot = engine.snapshot();
+                let snapshot_at = prefix % steps;
+                for step in 0..steps {
+                    let action = rng.gen_range(0..command_mix::ACTIONS);
+                    let pick = rng.gen_range(0usize..1_000);
+                    let step_seed = rng.gen::<u64>();
+                    command_mix::step(&engine, &name, &mut ids, action, pick, step_seed);
+                    if step == snapshot_at {
+                        mid_snapshot = engine.snapshot();
+                    }
+                }
+                let final_json = to_json(&engine.snapshot()).unwrap();
+                drop(engine);
+                prop_assert_eq!(
+                    &recover_json(Some(&mid_snapshot), &journal).0,
+                    &final_json,
+                    "snapshot+tail recovery diverged (seed {}, {:?})", seed, layout
+                );
+                prop_assert_eq!(
+                    &recover_json(None, &journal).0,
+                    &final_json,
+                    "wal-only recovery diverged (seed {}, {:?})", seed, layout
+                );
+            }
+        }
+    }
+
+    /// Starts two parallel activities and fails the first: the delta of
+    /// the failure cuts the history below its end.
+    fn interior_failure(engine: &ProcessEngine, id: InstanceId) {
+        let (schema, _) = engine.materialized(id).unwrap();
+        let node = |n: &str| schema.node_by_name(n).unwrap().id;
+        let amount = schema.data_elements().next().unwrap().id;
+        let submit = |cmd| engine.submit(cmd).unwrap();
+        submit(EngineCommand::Start {
+            instance: id,
+            node: node("get order"),
+        });
+        submit(EngineCommand::Complete {
+            instance: id,
+            node: node("get order"),
+            writes: vec![(amount, adept_model::Value::Int(3))],
+        });
+        submit(EngineCommand::Start {
+            instance: id,
+            node: node("confirm"),
+        });
+        submit(EngineCommand::Start {
+            instance: id,
+            node: node("compose"),
+        });
+        submit(EngineCommand::FailActivity {
+            instance: id,
+            node: node("confirm"),
+            reason: "withdrawn".into(),
+        });
+    }
+
+    /// A snapshot whose state runs ahead of its watermark — the race
+    /// `ProcessEngine::snapshot` allows under traffic, since it reads the
+    /// watermark before the store — recovers byte-identical: the shard
+    /// stamps tell replay which deltas the state already holds. Without
+    /// them the same document is refused, never silently diverged.
+    #[test]
+    fn snapshot_running_ahead_of_its_watermark_recovers_exactly() {
+        for layout in LAYOUTS {
+            let journal = Journal::new(layout, "ahead");
+            let (engine, name) = mix_engine(&journal);
+            let ids: Vec<InstanceId> = (0..3)
+                .map(|_| engine.create_instance(&name).unwrap())
+                .collect();
+            let p = engine.snapshot().wal_seq;
+            interior_failure(&engine, ids[0]);
+            for id in &ids[1..] {
+                adept_tests::drive(&engine, *id, Some(2)).unwrap();
+            }
+            let mut ahead = engine.snapshot();
+            assert!(ahead.wal_seq > p);
+            ahead.wal_seq = p;
+            // Traffic after the snapshot still replays.
+            adept_tests::drive(&engine, ids[2], Some(1)).unwrap();
+            engine.create_instance(&name).unwrap();
+            let final_json = to_json(&engine.snapshot()).unwrap();
+            drop(engine);
+
+            assert_eq!(
+                recover_json(Some(&ahead), &journal),
+                (final_json, vec![]),
+                "{layout:?}"
+            );
+            ahead.wal_stamps.clear();
+            let err = recovery::recover_from_segmented(Some(&ahead), journal.backends())
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::Storage(StorageError::Corrupt { .. })),
+                "{layout:?}: replaying deltas the state already holds must be refused, got {err}"
+            );
+        }
+    }
+
+    /// A delta whose prior history length does not match its instance
+    /// refuses recovery with an error naming the record's sequence.
+    #[test]
+    fn delta_guard_mismatch_names_its_seq() {
+        let journal = Journal::new(Layout::Memory, "guard");
+        let (engine, name) = mix_engine(&journal);
+        let id = engine.create_instance(&name).unwrap();
+        interior_failure(&engine, id);
+        drop(engine);
+
+        let text = String::from_utf8(journal.raw(0)).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let (at, seq) = lines
+            .iter()
+            .enumerate()
+            .find_map(|(i, l)| {
+                let e = adept_storage::wal::decode_entry(l).unwrap();
+                matches!(e.record, adept_storage::WalRecord::CommandApplied { .. })
+                    .then_some((i, e.seq))
+            })
+            .expect("a command delta was journaled");
+        let edited = lines[at].replacen("\"history_len\":0", "\"history_len\":7", 1);
+        assert_ne!(
+            edited, lines[at],
+            "the first delta starts from an empty history"
+        );
+        lines[at] = edited;
+        journal.set_raw(0, (lines.join("\n") + "\n").as_bytes());
+
+        let err = recovery::recover_from_segmented(None, journal.backends())
+            .map(|_| ())
+            .unwrap_err();
+        match err {
+            EngineError::Storage(StorageError::Corrupt { detail }) => {
+                assert!(detail.contains(&format!("wal #{seq}:")), "{detail}")
+            }
+            other => panic!("expected a corrupt-log refusal, got {other}"),
+        }
+    }
+
+    /// A medium whose appends fail while armed.
+    #[derive(Debug)]
+    struct Flaky {
+        inner: MemoryBackend,
+        armed: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl adept_storage::StorageBackend for Flaky {
+        fn append_line(&self, line: &str) -> Result<(), StorageError> {
+            if self.armed.load(Ordering::SeqCst) {
+                return Err(StorageError::corrupt("injected append failure"));
+            }
+            self.inner.append_line(line)
+        }
+        fn sync(&self) -> Result<(), StorageError> {
+            self.inner.sync()
+        }
+        fn read_log(&self) -> Result<adept_storage::RawLog, StorageError> {
+            self.inner.read_log()
+        }
+        fn reset(&self) -> Result<(), StorageError> {
+            self.inner.reset()
+        }
+        fn kind(&self) -> &'static str {
+            "flaky"
+        }
+    }
+
+    /// A command group whose delta cannot be journaled is rolled back
+    /// from its mark — the withdrawn `Started` event, the marking and the
+    /// written data all restored — and the engine, its log and a recovery
+    /// from that log stay in step afterwards.
+    #[test]
+    fn failed_delta_append_rolls_the_group_back() {
+        let medium = MemoryBackend::new();
+        let armed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let engine = ProcessEngine::with_wal(Box::new(Flaky {
+            inner: medium.clone(),
+            armed: armed.clone(),
+        }))
+        .unwrap();
+        let name = engine.deploy(command_mix::process()).unwrap();
+        let id = engine.create_instance(&name).unwrap();
+        interior_failure(&engine, id);
+        let (schema, _) = engine.materialized(id).unwrap();
+        let node = |n: &str| schema.node_by_name(n).unwrap().id;
+        let note = schema.data_elements().nth(1).unwrap().id;
+        engine
+            .submit(EngineCommand::Start {
+                instance: id,
+                node: node("confirm"),
+            })
+            .unwrap();
+        let before = engine.store.get(id).unwrap().state;
+        let json_before = to_json(&engine.snapshot()).unwrap();
+
+        armed.store(true, Ordering::SeqCst);
+        let group = vec![
+            EngineCommand::FailActivity {
+                instance: id,
+                node: node("compose"),
+                reason: "withdrawn".into(),
+            },
+            EngineCommand::Complete {
+                instance: id,
+                node: node("confirm"),
+                writes: vec![(note, adept_model::Value::Str("x".into()))],
+            },
+        ];
+        for out in engine.submit_batch(group) {
+            assert!(matches!(out, Err(EngineError::Storage(_))), "{out:?}");
+        }
+        assert_eq!(engine.store.get(id).unwrap().state, before);
+        assert_eq!(to_json(&engine.snapshot()).unwrap(), json_before);
+
+        armed.store(false, Ordering::SeqCst);
+        engine
+            .submit(EngineCommand::Drive {
+                instance: id,
+                max: None,
+            })
+            .unwrap();
+        let final_json = to_json(&engine.snapshot()).unwrap();
+        drop(engine);
+        let (rec, report) = recovery::recover(Box::new(medium)).unwrap();
+        assert!(report.divergent.is_empty());
+        assert_eq!(to_json(&rec.snapshot()).unwrap(), final_json);
+    }
+
+    /// A format-3 document (no shard stamps) still restores and recovers
+    /// over a tail of command deltas.
+    #[test]
+    fn format_3_snapshot_recovers_over_a_delta_tail() {
+        let journal = Journal::new(Layout::Memory, "fmt3");
+        let (engine, name) = mix_engine(&journal);
+        let id = engine.create_instance(&name).unwrap();
+        adept_tests::drive(&engine, id, Some(1)).unwrap();
+        let mut snap = engine.snapshot();
+        interior_failure(&engine, engine.create_instance(&name).unwrap());
+        adept_tests::drive(&engine, id, None).unwrap();
+        let final_json = to_json(&engine.snapshot()).unwrap();
+        drop(engine);
+
+        snap.format = 3;
+        snap.wal_stamps.clear();
+        let json = to_json(&snap).unwrap().replace(",\"wal_stamps\":[]", "");
+        assert!(!json.contains("wal_stamps"));
+        let parsed = from_json(&json).unwrap();
+        assert_eq!(recover_json(Some(&parsed), &journal), (final_json, vec![]));
+    }
+}
